@@ -34,46 +34,36 @@ from pathlib import Path
 from repro.bench import suite
 from repro.compiler import clear_compile_cache
 from repro.device.device import DeviceConfig
-from repro.errors import ShardingConflictError
 from repro.interp import run_compiled
 from repro.runtime.profiler import CTR_LAUNCH_INTERLEAVED, CTR_LAUNCH_VECTORIZED
 from repro.toolchain import ToolchainContext
 
 
 def time_benchmark(name: str, size: str, repeat: int,
-                   sampled: bool = False, devices: int = 1) -> dict:
+                   sampled: bool = False) -> dict:
     bench = suite.get(name)
     params = bench.params(size)
     best = float("inf")
     counters = {}
     modeled = 0.0
     transferred = 0
-    d2d_bytes = 0
-    d2d_copies = 0
     for _ in range(repeat):
         # Fresh compile each repetition so the timing includes the (memoized)
         # front-end, exactly what experiment harnesses pay.
-        config = DeviceConfig(devices=devices) if devices > 1 else None
-        ctx = ToolchainContext(device_config=config)
+        ctx = ToolchainContext()
         if sampled:
             from repro.sampling import SamplingConfig
 
             ctx.sampling = SamplingConfig()
         compiled = bench.compile("optimized", ctx=ctx)
         start = time.perf_counter()
-        try:
-            interp = run_compiled(compiled, params=params, ctx=ctx)
-        except ShardingConflictError as err:
-            return {"devices": devices, "conflict": str(err)}
+        interp = run_compiled(compiled, params=params, ctx=ctx)
         best = min(best, time.perf_counter() - start)
         profiler = interp.runtime.profiler
         counters = dict(profiler.counters)
         modeled = profiler.total()
         transferred = interp.runtime.device.total_transferred_bytes()
-        if devices > 1:
-            d2d_bytes = interp.runtime.devset.bytes_d2d
-            d2d_copies = interp.runtime.devset.d2d_copies
-    entry = {
+    return {
         "seconds": best,
         "modeled_seconds": modeled,
         "transferred_bytes": transferred,
@@ -82,11 +72,6 @@ def time_benchmark(name: str, size: str, repeat: int,
         "skipped_launches": counters.get("sample.skipped_launches", 0),
         "skipped_iterations": counters.get("sample.skipped_iterations", 0),
     }
-    if devices > 1:
-        entry["devices"] = devices
-        entry["d2d_bytes"] = d2d_bytes
-        entry["d2d_copies"] = d2d_copies
-    return entry
 
 
 def measure_transfer_bytes(name: str, size: str) -> dict:
@@ -144,11 +129,6 @@ def main() -> None:
     parser.add_argument("--sample", action="store_true",
                         help="also time each benchmark under phase-sampled "
                              "execution and record sampled-vs-full ratios")
-    parser.add_argument("--devices", type=int, default=None, metavar="N",
-                        help="also time each benchmark sharded across N "
-                             "simulated GPUs and record modeled-time and "
-                             "D2D-byte columns (unshardeable benchmarks "
-                             "record their conflict)")
     parser.add_argument("--json", action="store_true", dest="json_rows",
                         help="print one machine-readable JSON row per "
                              "benchmark instead of the human table")
@@ -174,9 +154,6 @@ def main() -> None:
                 abs(sampled["modeled_seconds"] - full_modeled)
                 / full_modeled if full_modeled else 0.0)
             entry["sampled"] = sampled
-        if args.devices and args.devices > 1:
-            entry["multidevice"] = time_benchmark(
-                name, size, repeat, devices=args.devices)
         results[name] = entry
         total += entry["seconds"]
         xfer = entry["transfer_bytes"]
@@ -198,14 +175,6 @@ def main() -> None:
                 line += (f"  sampled={entry['sampled']['seconds']:.4f}s "
                          f"({entry['sampled']['wall_ratio']:.0%} wall, "
                          f"rel_err={entry['sampled']['modeled_rel_error']:.1e})")
-            if "multidevice" in entry:
-                multi = entry["multidevice"]
-                if "conflict" in multi:
-                    line += f"  x{args.devices}=conflict"
-                else:
-                    line += (f"  x{args.devices}: "
-                             f"{multi['modeled_seconds'] * 1e3:.3f}ms modeled, "
-                             f"d2d={multi['d2d_bytes']}B")
             print(line)
     if not args.json_rows:
         print(f"{'TOTAL':10s} {total:8.4f}s")

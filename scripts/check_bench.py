@@ -39,19 +39,11 @@ import numpy as np
 
 from repro.compiler import CompilerOptions, compile_source
 from repro.device.device import DeviceConfig
-from repro.errors import ShardingConflictError
 from repro.interp import run_compiled, run_sequential
 from repro.runtime.profiler import CTR_LAUNCH_INTERLEAVED, CTR_LAUNCH_VECTORIZED
 from repro.toolchain import ToolchainContext
 
-# Transfer-byte guard configs: whole-array vs dirty-interval transfers on
-# one device, plus one multi-device config.  Sharding keeps host<->device
-# bytes identical (the x2 column guards that invariant); benchmarks that
-# cannot shard record the literal string "conflict", which the exact-match
-# guard still protects — an unshardeable benchmark silently starting to
-# shard (or vice versa) is a behavior change.
-MODES = (("whole", None), ("delta", DeviceConfig(delta_transfers=True)),
-         ("x2", DeviceConfig(devices=2)))
+MODES = (("whole", None), ("delta", DeviceConfig(delta_transfers=True)))
 
 
 def check(mod_name: str, size: str = "tiny") -> None:
@@ -104,14 +96,8 @@ def measure_all(size: str = "tiny") -> dict:
             for mode, config in MODES:
                 ctx = ToolchainContext(device_config=config)
                 compiled = bench.compile(variant, ctx=ctx)
-                try:
-                    interp = run_compiled(compiled, params=params, ctx=ctx)
-                except ShardingConflictError:
-                    modes[mode] = "conflict"
-                    continue
+                interp = run_compiled(compiled, params=params, ctx=ctx)
                 modes[mode] = interp.runtime.device.total_transferred_bytes()
-                if getattr(interp.runtime, "ndevices", 1) > 1:
-                    modes[f"{mode}_d2d"] = interp.runtime.devset.bytes_d2d
             entry[variant] = modes
         out[name] = entry
     return out
@@ -127,15 +113,10 @@ def measure_all_time(size: str = "tiny") -> dict:
         params = bench.params(size)
         entry = {}
         for variant in ("optimized", "unoptimized"):
-            for suffix, config in (("", None), ("_x2", DeviceConfig(devices=2))):
-                ctx = ToolchainContext(device_config=config)
-                compiled = bench.compile(variant, ctx=ctx)
-                try:
-                    interp = run_compiled(compiled, params=params, ctx=ctx)
-                except ShardingConflictError:
-                    entry[variant + suffix] = "conflict"
-                    continue
-                entry[variant + suffix] = interp.runtime.profiler.total()
+            ctx = ToolchainContext()
+            compiled = bench.compile(variant, ctx=ctx)
+            interp = run_compiled(compiled, params=params, ctx=ctx)
+            entry[variant] = interp.runtime.profiler.total()
         out[name] = entry
     return out
 
@@ -161,13 +142,6 @@ def guard_time(baseline_path: str, size: str = "tiny", update: bool = False,
             want = expect.get(variant)
             if want is None:
                 failures.append(f"{name}/{variant}: missing from baseline")
-                continue
-            if isinstance(seconds, str) or isinstance(want, str):
-                # "conflict" markers (unshardeable at the multi-device
-                # config) compare exactly — shardability is behavior.
-                if seconds != want:
-                    failures.append(
-                        f"{name}/{variant}: {seconds!r} vs baseline {want!r}")
                 continue
             scale = max(abs(want), abs(seconds), 1e-30)
             rel = abs(seconds - want) / scale

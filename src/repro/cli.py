@@ -95,23 +95,15 @@ def _context(args) -> ToolchainContext:
 
 
 def _device_config(args):
-    """Build a DeviceConfig from --delta-transfers/--merge-gap/--devices
-    (None when no flag was given: the stock whole-array single device).
-    ``experiments`` threads --devices through the figure modules instead of
-    the context, so unshardeable benchmarks in the same sweep still run."""
+    """Build a DeviceConfig from --delta-transfers/--merge-gap (None when
+    neither flag was given: the stock whole-array device)."""
     delta = getattr(args, "delta_transfers", False)
     gap = getattr(args, "merge_gap", None)
-    devices = getattr(args, "devices", None)
-    if devices is not None and devices < 1:
-        raise SystemExit("bad --devices: must be >= 1")
-    if getattr(args, "command", None) == "experiments":
-        devices = None
-    if not delta and gap is None and (devices is None or devices == 1):
+    if not delta and gap is None:
         return None
     from repro.device.device import DeviceConfig
 
-    return DeviceConfig(delta_transfers=delta, transfer_merge_gap_bytes=gap,
-                        devices=devices or 1)
+    return DeviceConfig(delta_transfers=delta, transfer_merge_gap_bytes=gap)
 
 
 def _chaos_plan(args):
@@ -244,13 +236,6 @@ def cmd_run(args, ctx: ToolchainContext) -> int:
     print(f"\n-- modeled time: {profiler.total() * 1e3:.3f} ms")
     print(f"-- transfers: {len(run.runtime.transfer_log)} "
           f"({device.total_transferred_bytes()} bytes)")
-    if getattr(run.runtime, "ndevices", 1) > 1:
-        devset = run.runtime.devset
-        print(f"-- devices: {devset.ndevices} "
-              f"(d2d: {devset.d2d_copies} copies, {devset.bytes_d2d} bytes)")
-        for d in range(devset.ndevices):
-            print(f"   dev{d}: sent {devset.d2d_sent[d]:10d}  "
-                  f"recv {devset.d2d_recv[d]:10d}")
     for cat, seconds in profiler.breakdown().items():
         if seconds:
             print(f"   {cat:15s} {seconds * 1e6:12.1f} us")
@@ -300,12 +285,7 @@ def cmd_run(args, ctx: ToolchainContext) -> int:
 
 
 def cmd_profile(args, ctx: ToolchainContext) -> int:
-    from repro.runtime.profiler import (
-        CTR_BYTES_D2D,
-        CTR_BYTES_D2H,
-        CTR_BYTES_H2D,
-        CTR_BYTES_SAVED,
-    )
+    from repro.runtime.profiler import CTR_BYTES_D2H, CTR_BYTES_H2D, CTR_BYTES_SAVED
 
     compiled = _load(args.file, args, ctx)
     run = run_compiled(compiled, params=_parse_params(args.param), ctx=ctx)
@@ -313,17 +293,12 @@ def cmd_profile(args, ctx: ToolchainContext) -> int:
     profiler = runtime.profiler
     counters = profiler.counters
 
-    # Aggregate the transfer log per (var, site, route).  Grouping by the
-    # full src->dst route (not just direction) keeps a d2d halo exchange
-    # between dev1 and dev2 distinct from one between dev0 and dev1 — the
-    # old (var, site, direction) key folded every route together, which is
-    # exactly what made multi-device traffic unreadable.
+    # Aggregate the transfer log per (var, site, direction).
     sites: Dict[tuple, Dict[str, int]] = {}
     for rec in runtime.transfer_log:
         entry = sites.setdefault(
-            (rec.var, rec.site, rec.src_device, rec.dst_device),
-            {"count": 0, "bytes": 0, "saved": 0, "batches": 0,
-             "direction": rec.direction},
+            (rec.var, rec.site, rec.direction),
+            {"count": 0, "bytes": 0, "saved": 0, "batches": 0},
         )
         entry["count"] += 1
         entry["bytes"] += rec.nbytes
@@ -341,9 +316,8 @@ def cmd_profile(args, ctx: ToolchainContext) -> int:
             ctx, command="profile", program=args.file,
             params=_parse_params(args.param),
             extra={"transfer_sites": [
-                {"var": var, "site": site, "src_device": src,
-                 "dst_device": dst, "route": f"{src}->{dst}", **entry}
-                for (var, site, src, dst), entry in sorted(sites.items())
+                {"var": var, "site": site, "direction": direction, **entry}
+                for (var, site, direction), entry in sorted(sites.items())
             ]},
         )
         print(json.dumps(report, indent=2, sort_keys=True, default=repr))
@@ -354,8 +328,6 @@ def cmd_profile(args, ctx: ToolchainContext) -> int:
           f"({runtime.device.total_transferred_bytes()} bytes)")
     print(f"   h2d bytes  {counters.get(CTR_BYTES_H2D, 0):12d}")
     print(f"   d2h bytes  {counters.get(CTR_BYTES_D2H, 0):12d}")
-    if getattr(runtime, "ndevices", 1) > 1:
-        print(f"   d2d bytes  {counters.get(CTR_BYTES_D2D, 0):12d}")
     print(f"   saved      {counters.get(CTR_BYTES_SAVED, 0):12d}")
     for cat, seconds in profiler.breakdown().items():
         if seconds:
@@ -365,13 +337,12 @@ def cmd_profile(args, ctx: ToolchainContext) -> int:
     top = top[: args.top_transfers]
     if top:
         print(f"\n-- top {len(top)} transfer sites by bytes moved")
-        header = (f"   {'var':12s} {'site':20s} {'dir':4s} {'route':12s} "
-                  f"{'count':>6s} {'batches':>8s} {'bytes':>10s} {'saved':>10s}")
+        header = (f"   {'var':12s} {'site':20s} {'dir':4s} {'count':>6s} "
+                  f"{'batches':>8s} {'bytes':>10s} {'saved':>10s}")
         print(header)
         print("   " + "-" * (len(header) - 3))
-        for (var, site, src, dst), entry in top:
-            print(f"   {var:12s} {site:20s} {entry['direction']:4s} "
-                  f"{src + '->' + dst:12s} {entry['count']:6d} "
+        for (var, site, direction), entry in top:
+            print(f"   {var:12s} {site:20s} {direction:4s} {entry['count']:6d} "
                   f"{entry['batches']:8d} {entry['bytes']:10d} {entry['saved']:10d}")
     return 0
 
@@ -531,23 +502,11 @@ def cmd_experiments(args, ctx: ToolchainContext) -> int:
     if plan is not None and args.json:
         raise SystemExit("--json is not supported together with fault injection")
 
-    devices = getattr(args, "devices", None) or 1
-    multidev_capable = {"fig1", "table3"}
-    if devices > 1:
-        unsupported = [n for n in names if n not in multidev_capable]
-        if unsupported:
-            print(f"note: --devices applies to fig1/table3 only; "
-                  f"{', '.join(unsupported)} run single-device")
-
     if plan is None:
         collected: Dict[str, List[Dict]] = {}
         for name in names:
             module = importlib.import_module(f"repro.experiments.{name}")
-            kwargs = {}
-            if devices > 1 and name in multidev_capable:
-                kwargs["devices"] = (1, devices)
-            title, headers, rows = module.table(size=args.size, jobs=jobs,
-                                                ctx=ctx, **kwargs)
+            title, headers, rows = module.table(size=args.size, jobs=jobs, ctx=ctx)
             print(render_table(headers, rows, title=title))
             print()
             collected[name] = rows_to_dicts(headers, rows)
@@ -671,19 +630,6 @@ def _render_top(snap: Dict) -> str:
                 f"{stats.get('misses', 0):8d} "
                 + (f"{ratio:8.1%}" if ratio is not None else f"{'--':>8s}")
             )
-    devices = snap.get("devices") or {}
-    if devices:
-        lines.append("")
-        d2d = snap.get("d2d") or {}
-        tail = (f"   d2d {d2d.get('bytes', 0)} bytes / "
-                f"{d2d.get('copies', 0)} copies")
-        imbalance = snap.get("shard_imbalance")
-        if imbalance is not None:
-            tail += f"   imbalance {imbalance:.2f}x"
-        lines.append(f"  {'device':10s} {'busy s':>12s} {'requests':>9s}{tail}")
-        for dev, stats in sorted(devices.items(), key=lambda kv: int(kv[0])):
-            lines.append(f"  dev{dev:7s} {stats.get('busy_s', 0.0):12.6f} "
-                         f"{stats.get('requests', 0):9d}")
     flight = snap.get("flight") or {}
     if flight:
         lines.append("")
@@ -829,13 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help='fault kinds and rates, e.g. "alloc=0.05,transfer.corrupt=0.1" '
                             "(implies --chaos-seed 0 when the seed is omitted)")
 
-    def add_devices(p):
-        p.add_argument("--devices", type=int, metavar="N",
-                       help="shard statically race-free gang loops across "
-                            "N simulated GPUs with modeled peer-to-peer "
-                            "halo exchange (default: 1; program outputs "
-                            "are bit-identical to a single device)")
-
     def add_transfer(p):
         p.add_argument("--delta-transfers", action="store_true",
                        help="move only dirty intervals across the modeled "
@@ -886,7 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "legitimately differ)")
     add_chaos(p)
     add_transfer(p)
-    add_devices(p)
     add_sampling(p)
     add_recovery(p)
     p.set_defaults(func=cmd_run)
@@ -900,7 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output format: human text (default) or the "
                         "RunReport JSON schema plus per-site aggregation")
     add_transfer(p)
-    add_devices(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("trace", help="execute with tracing on and render the "
@@ -914,7 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the rendering here instead of stdout")
     add_chaos(p)
     add_transfer(p)
-    add_devices(p)
     p.set_defaults(func=cmd_trace, trace_enabled=True)
 
     p = sub.add_parser("verify", help="kernel verification (paper §III-A)")
@@ -929,7 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Sampling preserves the distinct finding set (CI-enforced), so sampled
     # memcheck reaches the same conclusions faster on iterative programs.
     add_sampling(p)
-    add_devices(p)
     p.set_defaults(func=cmd_memcheck)
 
     p = sub.add_parser("optimize", help="interactive transfer optimization (Figure 2)")
@@ -1035,7 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write every experiment's rows as JSON")
     add_chaos(p)
     add_sampling(p)
-    add_devices(p)
     add_observability(p)
     p.set_defaults(func=cmd_experiments)
 

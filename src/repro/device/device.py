@@ -56,11 +56,6 @@ class DeviceConfig:
     # batch; the filler bytes ride along.  None picks the cost model's
     # latency/bandwidth break-even (60 bytes at the default constants).
     transfer_merge_gap_bytes: Optional[int] = None
-    # Multi-device execution: number of simulated GPUs in the DeviceSet.
-    # 1 (the default) is the single-device runtime, bit-identical to the
-    # historical behavior.  N>1 shards race-free gang loops across devices
-    # with D2D halo exchange (repro.device.deviceset / runtime.partition).
-    devices: int = 1
 
     def merge_gap_bytes(self) -> int:
         if self.transfer_merge_gap_bytes is not None:
@@ -71,13 +66,9 @@ class DeviceConfig:
 class Device:
     """One simulated accelerator."""
 
-    def __init__(self, config: Optional[DeviceConfig] = None, chaos=None,
-                 index: int = 0):
+    def __init__(self, config: Optional[DeviceConfig] = None, chaos=None):
         self.config = config or DeviceConfig()
-        # Position of this device inside its DeviceSet (0 on the
-        # single-device path).
-        self.index = index
-        self.mem = DeviceMemory(self.config.capacity_bytes, device_index=index)
+        self.mem = DeviceMemory(self.config.capacity_bytes)
         self.engine = KernelEngine(self.config.max_kernel_steps,
                                    vectorize=self.config.vectorize)
         self.events: List[DeviceEvent] = []
@@ -269,8 +260,7 @@ class Device:
     # ------------------------------------------------------------------
     def launch(self, spec: LaunchSpec, schedule: Optional[Schedule] = None,
                async_queue: Optional[int] = None,
-               backend: Optional[str] = None,
-               partials_out: Optional[Dict[str, List]] = None) -> LaunchResult:
+               backend: Optional[str] = None) -> LaunchResult:
         """Run one kernel.  ``backend='interleaved'`` bypasses the vectorized
         fast path (degradation ladder / diagnostics)."""
         if self.chaos is not None:
@@ -280,7 +270,7 @@ class Device:
                 # may retry or degrade against pristine state.
                 raise fault.to_error("injected kernel-launch failure")
         result = self.engine.launch(spec, schedule or self.config.schedule,
-                                    backend=backend, partials_out=partials_out)
+                                    backend=backend)
         seconds = self.config.costs.kernel_time(result.total_steps)
         self._log(DeviceEvent(EV_LAUNCH, spec.name, steps=result.total_steps,
                               seconds=seconds, async_queue=async_queue))

@@ -207,12 +207,9 @@ class KernelEngine:
         self.collect_write_sets = False
 
     def launch(self, spec: LaunchSpec, schedule: Optional[Schedule] = None,
-               backend: Optional[str] = None,
-               partials_out: Optional[Dict[str, List]] = None) -> LaunchResult:
+               backend: Optional[str] = None) -> LaunchResult:
         """``backend='interleaved'`` forces the stepper even for vectorizable
-        specs (degradation ladder / diagnostics); None picks automatically.
-        ``partials_out`` (multi-device shard merging) receives each
-        reduction's per-lane partials in lane order."""
+        specs (degradation ladder / diagnostics); None picks automatically."""
         schedule = schedule or Schedule.round_robin()
         if (self.vectorize and backend != "interleaved"
                 and schedule.kind != Schedule.RANDOM):
@@ -222,7 +219,6 @@ class KernelEngine:
                     total, max_steps, reductions, write_sets = vectorize.execute(
                         spec, plan, self.max_total_steps,
                         collect_writes=self.collect_write_sets,
-                        partials_out=partials_out,
                     )
                     return LaunchResult(
                         spec.name, total, max_steps, reductions, {},
@@ -270,10 +266,6 @@ class KernelEngine:
         for t in threads:
             for name in partials:
                 partials[name].append(t.regs.get(name, identity(red_info[name][0])))
-
-        if partials_out is not None:
-            for name, vals in partials.items():
-                partials_out[name] = list(vals)
 
         reductions = {
             name: tree_reduce(op, partials[name], dtype)

@@ -38,12 +38,8 @@ class Allocation:
 class DeviceMemory:
     """Handle-table allocator with a capacity limit."""
 
-    def __init__(self, capacity_bytes: int = 6 * 1024**3, chaos=None,
-                 device_index: int = 0):
+    def __init__(self, capacity_bytes: int = 6 * 1024**3, chaos=None):
         self.capacity = capacity_bytes
-        # Which DeviceSet member this address space belongs to (0 on the
-        # single-device path); diagnostics only.
-        self.device_index = device_index
         self.used = 0
         self._table: Dict[int, Allocation] = {}
         self._next_handle = 1
@@ -63,9 +59,8 @@ class DeviceMemory:
                 )
         data = np.zeros(shape, dtype=dtype)
         if self.used + data.nbytes > self.capacity:
-            where = f"device {self.device_index}" if self.device_index else "device"
             raise DeviceMemoryError(
-                f"{where} out of memory allocating {data.nbytes} B for '{name}' "
+                f"device out of memory allocating {data.nbytes} B for '{name}' "
                 f"({self.used}/{self.capacity} B in use)"
             )
         allocation = Allocation(self._next_handle, name, data)

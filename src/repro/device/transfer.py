@@ -55,20 +55,10 @@ class CostModel:
     # (doubles per attempt; see CostModel.backoff_time).  Modeled time, like
     # everything else here — the retry layer charges it to the profiler.
     retry_backoff_s: float = 100e-6
-    # Peer-to-peer (device-to-device) link, multi-device runs only.  NVLink-
-    # style: half the PCIe latency, twice the bandwidth, same miniature
-    # scaling as the rest of the model.
-    p2p_latency_s: float = 5e-6
-    p2p_bandwidth_Bps: float = 12e6
 
     def transfer_time(self, nbytes: int) -> float:
         """h2d / d2h transfer of ``nbytes``."""
         return self.transfer_latency_s + nbytes / self.transfer_bandwidth_Bps
-
-    def p2p_time_batched(self, nbatches: int, nbytes: int) -> float:
-        """Device-to-device copy over the modeled P2P link: one link latency
-        per contiguous batch, bandwidth per byte.  Zero batches cost zero."""
-        return nbatches * self.p2p_latency_s + nbytes / self.p2p_bandwidth_Bps
 
     def transfer_time_batched(self, nbatches: int, nbytes: int) -> float:
         """Interval-batched transfer: one latency per batch, bandwidth per

@@ -75,37 +75,22 @@ class VectorBailout(Exception):
 # ---------------------------------------------------------------------------
 
 class VectorPlan:
-    """A positive vectorizability verdict for one kernel program.
+    """A positive vectorizability verdict for one kernel program."""
 
-    Besides the verdict itself the plan retains the *access shapes* the
-    analysis already proved safe: for every device array, the distinct
-    subscript-component AST tuples it is accessed through (``accesses``),
-    and for written arrays the single proven one-element-per-thread write
-    tuple (``write_tuples``).  The multi-device partitioner re-evaluates
-    these ASTs over a shard's lanes to predict per-shard footprints without
-    executing the kernel."""
+    __slots__ = ("written_arrays",)
 
-    __slots__ = ("written_arrays", "accesses", "write_tuples")
-
-    def __init__(self, written_arrays: frozenset, accesses=None,
-                 write_tuples=None):
+    def __init__(self, written_arrays: frozenset):
         self.written_arrays = written_arrays
-        # root -> tuple of component-AST tuples (reads and writes, deduped).
-        self.accesses: Dict[str, tuple] = accesses or {}
-        # root -> the unique write component-AST tuple.
-        self.write_tuples: Dict[str, tuple] = write_tuples or {}
 
 
 class _Reject(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """The analysis found a construct with no exact vector form."""
 
 
 # Analysis results keyed by instruction-list identity.  The instruction list
 # is held strongly so the id can never be recycled; the cache is bounded by
 # the number of distinct compiled kernels in the process (small).
-_PLAN_CACHE: Dict[int, Tuple[Program, Optional[VectorPlan], str]] = {}
+_PLAN_CACHE: Dict[int, Tuple[Program, Optional[VectorPlan]]] = {}
 _PLAN_CACHE_MAX = 1024
 
 
@@ -120,25 +105,12 @@ def plan_for(spec) -> Optional[VectorPlan]:
         return cached[1]
     try:
         plan: Optional[VectorPlan] = _analyze(spec)
-        reason = ""
-    except _Reject as rej:
+    except _Reject:
         plan = None
-        reason = rej.reason
     if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
         _PLAN_CACHE.clear()
-    _PLAN_CACHE[key] = (spec.instrs, plan, reason)
+    _PLAN_CACHE[key] = (spec.instrs, plan)
     return plan
-
-
-def reject_reason(spec) -> Optional[str]:
-    """Why the spec fell back, for diagnostics ('' when vectorizable)."""
-    if spec.shared_writable:
-        return "shared-writable scalars"
-    if spec.cached_vars:
-        return "register-cached shared vars"
-    plan_for(spec)
-    cached = _PLAN_CACHE.get(id(spec.instrs))
-    return cached[2] if cached is not None else None
 
 
 def _analyze(spec) -> VectorPlan:
@@ -167,10 +139,6 @@ def _analyze(spec) -> VectorPlan:
     writes: Dict[str, set] = {}
     # For each write tuple, which components are bare partition index vars.
     bare_vars: Dict[Tuple[str, Tuple[str, ...]], set] = {}
-    # Retained ASTs: root -> {source-key: component-AST tuple}, plus the
-    # write tuple per root (for the multi-device footprint probe).
-    access_asts: Dict[str, Dict[Tuple[str, ...], tuple]] = {}
-    write_asts: Dict[str, tuple] = {}
 
     def subscript_parts(expr: ast.Subscript):
         comps: List[ast.Expr] = []
@@ -192,11 +160,9 @@ def _analyze(spec) -> VectorPlan:
         root, comps = subscript_parts(expr)
         key = tuple(expr_to_source(c) for c in comps)
         (writes if is_write else reads).setdefault(root, set()).add(key)
-        access_asts.setdefault(root, {}).setdefault(key, tuple(comps))
         if is_write:
             bare = {c.id for c in comps if isinstance(c, ast.Name) and c.id in index_vars}
             bare_vars[(root, key)] = bare
-            write_asts[root] = tuple(comps)
         for comp in comps:
             check_expr(comp)
 
@@ -311,12 +277,7 @@ def _analyze(spec) -> VectorPlan:
                 f"array {root!r} read through a different index tuple than written"
             )
 
-    return VectorPlan(
-        frozenset(writes),
-        accesses={root: tuple(per_key.values())
-                  for root, per_key in access_asts.items()},
-        write_tuples=dict(write_asts),
-    )
+    return VectorPlan(frozenset(writes))
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +817,7 @@ def _compile_vstmt(stmt: ast.Stmt) -> Callable:
 # ---------------------------------------------------------------------------
 
 def execute(spec, plan: VectorPlan, max_total_steps: int,
-            collect_writes: bool = False, partials_out=None):
+            collect_writes: bool = False):
     """Run ``spec`` vectorized.  Returns (total_steps, max_thread_steps,
     reductions, write_sets) and commits array writes; raises
     :class:`VectorBailout` (device memory untouched) when exact semantics
@@ -959,11 +920,6 @@ def execute(spec, plan: VectorPlan, max_total_steps: int,
     reductions = {}
     for name, (op, dtype) in red_info.items():
         partials = ctx.regs[name].tolist()
-        if partials_out is not None:
-            # Lane-order partials for the multi-device merger: reducing the
-            # concatenation of every shard's partials in one tree reproduces
-            # the single-device combine order bit-for-bit.
-            partials_out[name] = list(partials)
         reductions[name] = tree_reduce(op, partials, dtype)
 
     return total, int(steps.max()) if nlanes else 0, reductions, write_sets

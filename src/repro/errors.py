@@ -126,20 +126,6 @@ class ExtrapolationBoundError(SamplingError):
         super().__init__(message)
 
 
-class ShardingError(ReproError):
-    """Fault in the multi-device sharding layer (:mod:`repro.runtime.partition`
-    / :class:`repro.device.deviceset.DeviceSet`)."""
-
-
-class ShardingConflictError(ShardingError):
-    """``--devices N>1`` was requested together with a feature that cannot
-    shard: race-revealing interleaved launches (backend='interleaved', random
-    schedules, vectorization off, or a launch the vectorizer rejects), chaos
-    fault injection (draw sequences are per-device-order dependent), or
-    sampling fast-forward (skipped launches have no shard footprints).  Raised
-    eagerly instead of silently falling back to one device."""
-
-
 class CheckpointError(ReproError):
     """Fault in the checkpoint/rollback subsystem
     (:mod:`repro.runtime.checkpoint`): unreadable or corrupted snapshot
@@ -216,8 +202,6 @@ _STAGES = (
     ("InterpError", "interp"),
     ("ExtrapolationBoundError", "sample"),
     ("SamplingError", "sample"),
-    ("ShardingConflictError", "sharding"),
-    ("ShardingError", "sharding"),
     ("CheckpointConflictError", "checkpoint"),
     ("CheckpointError", "checkpoint"),
     ("RecoveryExhaustedError", "recovery"),

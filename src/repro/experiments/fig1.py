@@ -19,7 +19,6 @@ from repro.bench import all_names, get
 from repro.experiments import scheduler
 from repro.experiments.harness import (
     RunOutcome,
-    ctx_for_devices,
     render_table,
     run_variant,
     run_variant_isolated,
@@ -45,11 +44,8 @@ class Fig1Row:
 
 
 def compute_row(name: str, size: str = "small", seed: int = 0,
-                ctx=None, devices: int = 1) -> Fig1Row:
-    """One benchmark's Figure-1 row (picklable; scheduler worker entry).
-    ``devices > 1`` runs both variants sharded across that many simulated
-    GPUs (raises ShardingConflictError for unshardeable benchmarks)."""
-    ctx = ctx_for_devices(ctx, devices)
+                ctx=None) -> Fig1Row:
+    """One benchmark's Figure-1 row (picklable; scheduler worker entry)."""
     bench = get(name)
     opt = run_variant(bench, "optimized", size, seed, ctx=ctx)
     naive = run_variant(bench, "naive", size, seed, ctx=ctx)
@@ -104,36 +100,12 @@ def run_isolated(
 
 
 def table(size: str = "small", seed: int = 0, jobs: int = 1,
-          ctx=None, devices: Sequence[int] = (1,)
-          ) -> Tuple[str, List[str], List[Sequence]]:
-    devices = tuple(devices)
-    if devices == (1,):
-        rows = run(size, seed, jobs=jobs, ctx=ctx)
-        return (
-            f"Figure 1 — default vs optimized memory management (size={size})",
-            HEADERS,
-            [[r.benchmark, r.norm_time, r.norm_bytes] for r in rows],
-        )
-    # Multi-device sweep: one row per (benchmark, device count).  A
-    # benchmark whose kernels cannot shard at that count reports
-    # "conflict" instead of failing the whole figure.
-    out: List[Sequence] = []
-    for count in devices:
-        grid = scheduler.row_grid(__name__, all_names(), size, seed,
-                                  devices=count)
-        for name, res in zip(all_names(),
-                             scheduler.run_jobs(grid, jobs, ctx=ctx)):
-            if isinstance(res, scheduler.JobFailure):
-                if res.error_type == "ShardingConflictError":
-                    out.append([name, count, "conflict", "conflict"])
-                    continue
-                scheduler.raise_failures([res])
-            out.append([res.benchmark, count, res.norm_time, res.norm_bytes])
+          ctx=None) -> Tuple[str, List[str], List[Sequence]]:
+    rows = run(size, seed, jobs=jobs, ctx=ctx)
     return (
-        f"Figure 1 — default vs optimized memory management "
-        f"(size={size}, devices={'/'.join(map(str, devices))})",
-        [HEADERS[0], "Devices"] + HEADERS[1:],
-        out,
+        f"Figure 1 — default vs optimized memory management (size={size})",
+        HEADERS,
+        [[r.benchmark, r.norm_time, r.norm_bytes] for r in rows],
     )
 
 

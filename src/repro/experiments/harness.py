@@ -35,45 +35,6 @@ from repro.toolchain import ToolchainContext, default_context
 VALID_VARIANTS = ("optimized", "unoptimized", "naive", "sequential")
 
 
-def ctx_for_devices(ctx: Optional[ToolchainContext], devices: int
-                    ) -> Optional[ToolchainContext]:
-    """A context whose device_config requests ``devices`` simulated GPUs.
-
-    ``devices <= 1`` returns ``ctx`` unchanged (single-device sweeps stay
-    byte-identical).  Otherwise the context is shallow-copied — caches,
-    metrics and tracer stay shared — with only ``device_config`` replaced,
-    so one figure can mix device counts row by row without multi-device
-    config leaking into the rest of the sweep."""
-    if devices is None or devices <= 1:
-        return ctx
-    import copy
-    import dataclasses
-
-    from repro.device.device import DeviceConfig
-
-    base = ctx or default_context()
-    clone = copy.copy(base)
-    cfg = getattr(base, "device_config", None)
-    clone.device_config = (dataclasses.replace(cfg, devices=devices)
-                           if cfg is not None
-                           else DeviceConfig(devices=devices))
-    return clone
-
-
-def set_default_chaos(plan: Optional[FaultPlan]) -> None:
-    """Deprecated shim: install (or clear, with None) the default fault
-    plan on the process-default context.  Use
-    ``ToolchainContext(default_chaos=plan)`` (or assign
-    ``ctx.default_chaos``) and thread the context instead."""
-    warnings.warn(
-        "set_default_chaos() is deprecated; set default_chaos on a "
-        "ToolchainContext and pass it via the ctx parameter",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    default_context().default_chaos = plan
-
-
 def run_variant(
     bench: Benchmark,
     variant: str,

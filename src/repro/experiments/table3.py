@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.bench import all_names, get
 from repro.compiler.driver import CompilerOptions, compile_ast
 from repro.experiments import scheduler
-from repro.experiments.harness import ctx_for_devices, render_table
+from repro.experiments.harness import render_table
 from repro.interp import run_compiled
 from repro.lang.parser import parse_program
 from repro.verify.interactive import InteractiveOptimizer
@@ -74,13 +74,8 @@ def _bytes_per_var(interp) -> Dict[str, int]:
 
 
 def compute_row(name: str, size: str = "small", seed: int = 0,
-                ctx=None, max_rounds: int = 12,
-                devices: int = 1) -> Table3Row:
-    """One benchmark's Table-III row (picklable; scheduler worker entry).
-    ``devices > 1`` drives the whole Figure-2 loop — verification rounds
-    included — on that many simulated GPUs (raises ShardingConflictError
-    for unshardeable benchmarks)."""
-    ctx = ctx_for_devices(ctx, devices)
+                ctx=None, max_rounds: int = 12) -> Table3Row:
+    """One benchmark's Table-III row (picklable; scheduler worker entry)."""
     options = CompilerOptions(strict_validation=False)
     bench = get(name)
     params = bench.params(size, seed)
@@ -122,50 +117,24 @@ def run(size: str = "small", seed: int = 0, max_rounds: int = 12,
     return scheduler.raise_failures(scheduler.run_jobs(grid, jobs, ctx=ctx))
 
 
-def _row_cells(r: Table3Row) -> List[object]:
-    return [
-        r.benchmark,
-        r.total_iterations,
-        r.incorrect_iterations,
-        r.uncaught_redundancy,
-        r.final_bytes,
-        r.manual_bytes,
-        "/".join(map(str, PAPER[r.benchmark])),
-    ]
-
-
 def table(size: str = "small", seed: int = 0, jobs: int = 1,
-          ctx=None, devices: Sequence[int] = (1,)
-          ) -> Tuple[str, List[str], List[Sequence]]:
-    devices = tuple(devices)
-    if devices == (1,):
-        rows = run(size, seed, jobs=jobs, ctx=ctx)
-        return (
-            f"Table III — interactive memory-transfer optimization (size={size})",
-            HEADERS,
-            [_row_cells(r) for r in rows],
-        )
-    # Multi-device sweep: one row per (benchmark, device count), with
-    # unshardeable benchmarks marked "conflict" rather than aborting.
-    out: List[Sequence] = []
-    for count in devices:
-        grid = scheduler.row_grid(__name__, all_names(), size, seed,
-                                  max_rounds=12, devices=count)
-        for name, res in zip(all_names(),
-                             scheduler.run_jobs(grid, jobs, ctx=ctx)):
-            if isinstance(res, scheduler.JobFailure):
-                if res.error_type == "ShardingConflictError":
-                    out.append([name, count, "conflict", "-", "-", "-", "-",
-                                "/".join(map(str, PAPER[name]))])
-                    continue
-                scheduler.raise_failures([res])
-            cells = _row_cells(res)
-            out.append([cells[0], count] + cells[1:])
+          ctx=None) -> Tuple[str, List[str], List[Sequence]]:
+    rows = run(size, seed, jobs=jobs, ctx=ctx)
     return (
-        f"Table III — interactive memory-transfer optimization "
-        f"(size={size}, devices={'/'.join(map(str, devices))})",
-        [HEADERS[0], "Devices"] + HEADERS[1:],
-        out,
+        f"Table III — interactive memory-transfer optimization (size={size})",
+        HEADERS,
+        [
+            [
+                r.benchmark,
+                r.total_iterations,
+                r.incorrect_iterations,
+                r.uncaught_redundancy,
+                r.final_bytes,
+                r.manual_bytes,
+                "/".join(map(str, PAPER[r.benchmark])),
+            ]
+            for r in rows
+        ],
     )
 
 

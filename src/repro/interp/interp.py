@@ -115,14 +115,6 @@ class Interp:
                     "skipped kernel launches leave the dirty-interval map "
                     "(and host data) behind the modeled execution, so "
                     "delta-planned byte counts would diverge")
-            if getattr(self.runtime, "ndevices", 1) > 1:
-                from repro.errors import ShardingConflictError
-
-                raise ShardingConflictError(
-                    "phase sampling cannot run with --devices "
-                    f"{self.runtime.ndevices}: fast-forwarded iterations "
-                    "skip the halo exchanges that keep peer replicas "
-                    "coherent (run with --devices 1)")
             self.sampler = PhaseSampler(sampling, self.runtime)
         # Checkpoint/rollback recovery: attach a manager when the context
         # carries an enabled CheckpointConfig.  None (the default) keeps

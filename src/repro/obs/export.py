@@ -41,25 +41,12 @@ def _safe_attrs(attrs: Dict[str, object]) -> Dict[str, object]:
     return {str(k): _json_safe(v) for k, v in attrs.items()}
 
 
-# Synthetic Chrome-trace thread ids for per-device lanes.  Real thread ids
-# come from threading.get_ident() (pointer-sized); a small fixed base keeps
-# the device lanes visually grouped and collision-free in practice.
-_DEVICE_TID_BASE = 1000000
-
-
 def chrome_trace_events(tracer: Tracer) -> List[Dict[str, object]]:
     """The ``traceEvents`` list: ``ph=X`` complete events for spans,
     ``ph=i`` instants for span events, microsecond timestamps relative to
-    the tracer epoch.
-
-    Spans carrying an integer ``device`` attribute (multi-device runs emit
-    them on ``kernel.shard`` and ``transfer.d2d``) are rerouted onto one
-    synthetic lane per device, named via ``thread_name`` metadata, so an
-    N-GPU run renders as N parallel swimlanes.  Single-device traces have
-    no such spans and stay byte-identical."""
+    the tracer epoch."""
     pid = os.getpid()
     events: List[Dict[str, object]] = []
-    device_lanes: Dict[int, int] = {}
 
     trace_context = getattr(tracer, "trace_context", None)
     if trace_context is not None:
@@ -75,17 +62,10 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, object]]:
             "args": dict(trace_context.to_dict()),
         })
 
-    def _tid(span: Span) -> int:
-        dev = span.attrs.get("device")
-        if not isinstance(dev, int) or isinstance(dev, bool):
-            return span.thread_id
-        return device_lanes.setdefault(dev, _DEVICE_TID_BASE + dev)
-
     for span in tracer.sorted_spans():
         args = _safe_attrs(span.attrs)
         if span.modeled_seconds is not None:
             args["modeled_us"] = span.modeled_seconds * 1e6
-        tid = _tid(span)
         events.append({
             "name": span.name,
             "cat": span.category,
@@ -93,7 +73,7 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, object]]:
             "ts": (span.wall_start - tracer.epoch) * 1e6,
             "dur": span.wall_seconds * 1e6,
             "pid": pid,
-            "tid": tid,
+            "tid": span.thread_id,
             "args": args,
         })
         for ev in span.events:
@@ -104,18 +84,9 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, object]]:
                 "s": "t",
                 "ts": (ev.wall - tracer.epoch) * 1e6,
                 "pid": pid,
-                "tid": tid,
+                "tid": span.thread_id,
                 "args": _safe_attrs(ev.attrs),
             })
-    for dev, tid in sorted(device_lanes.items()):
-        events.append({
-            "name": "thread_name",
-            "ph": "M",
-            "ts": 0,
-            "pid": pid,
-            "tid": tid,
-            "args": {"name": f"dev{dev}"},
-        })
     for ev in tracer.orphan_events:
         events.append({
             "name": ev.name,

@@ -65,7 +65,6 @@ def build_report(ctx, command: Optional[str] = None,
         report["bytes"] = {
             "h2d": device.bytes_h2d,
             "d2h": device.bytes_d2h,
-            "d2d": profiler.counters.get("bytes.d2d", 0),
             "total": device.total_transferred_bytes(),
             "saved": profiler.counters.get("bytes.saved", 0),
         }
@@ -98,8 +97,7 @@ def build_report(ctx, command: Optional[str] = None,
     else:
         report["modeled_time_s"] = None
         report["modeled_breakdown_s"] = {}
-        report["bytes"] = {"h2d": 0, "d2h": 0, "d2d": 0, "total": 0,
-                           "saved": 0}
+        report["bytes"] = {"h2d": 0, "d2h": 0, "total": 0, "saved": 0}
         report["transfers"] = {"count": 0, "batches": 0}
         report["launches"] = 0
         report["recovery"] = {
@@ -194,7 +192,7 @@ def validate_report(report) -> List[str]:
             } <= set(hist):
                 problems.append(f"histogram {name!r} malformed")
 
-    for key in ("h2d", "d2h", "d2d", "total", "saved"):
+    for key in ("h2d", "d2h", "total", "saved"):
         if not isinstance(report["bytes"].get(key), int):
             problems.append(f"bytes.{key} missing or not an int")
 

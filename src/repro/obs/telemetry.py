@@ -13,8 +13,8 @@ Three cooperating pieces, all zero-cost when unused:
   latency over a sliding window (:class:`~repro.obs.metrics.WindowedHistogram`
   ring of power-of-two histograms), queue-depth / in-flight gauges, worker
   utilization (busy seconds in the window over ``window × workers``), and
-  cumulative per-device busy time / D2D halo traffic folded in from each
-  request's :class:`~repro.device.deviceset.DeviceSet`.  Everything is
+  the cumulative modeled device busy time folded in from each request's
+  :class:`~repro.runtime.accrt.AccRuntime`.  Everything is
   *read-only over runtime state* — recording telemetry never touches the
   modeled clock, the chaos RNG, or any device memory, so telemetry-enabled
   responses stay byte-identical to the offline CLI.
@@ -168,7 +168,7 @@ class Telemetry:
 
     Lifecycle hooks (``request_submitted`` → ``request_started`` →
     ``request_finished``) are called by the daemon around each request;
-    ``record_run`` folds per-device numbers out of a finished request's
+    ``record_run`` folds the device busy time out of a finished request's
     runtime.  :meth:`snapshot` renders everything into one JSON-safe dict —
     the payload of the ``stats`` protocol verb and the input of
     :func:`render_prometheus` and ``repro top``.
@@ -189,11 +189,8 @@ class Telemetry:
         self._inflight = 0
         self._finished = 0
         self._errors = 0
-        # Cumulative per-device aggregates (devices appear on first use).
-        self._device_busy: Dict[int, float] = {}
-        self._device_launches: Dict[int, int] = {}
-        self._d2d_bytes = 0
-        self._d2d_copies = 0
+        # Cumulative modeled busy seconds of the simulated device.
+        self._device_busy = 0.0
 
     # -- request lifecycle ---------------------------------------------------
     def request_submitted(self) -> None:
@@ -219,22 +216,15 @@ class Telemetry:
         hist.observe(elapsed_s * 1e3)
         self._busy.observe(elapsed_s)
 
-    # -- device aggregates ---------------------------------------------------
+    # -- device busy time ----------------------------------------------------
     def record_run(self, runtime) -> None:
-        """Fold a finished request's per-device numbers into the lifetime
+        """Fold a finished request's device busy time into the lifetime
         aggregates.  Reads runtime state only; never mutates it."""
-        devset = getattr(runtime, "devset", None)
-        if devset is None:
+        busy = getattr(runtime, "busy_s", None)
+        if busy is None:
             return
-        busy = list(getattr(devset, "busy_s", ()))
         with self._lock:
-            for dev, seconds in enumerate(busy):
-                self._device_busy[dev] = self._device_busy.get(dev, 0.0) + seconds
-                if seconds > 0.0:
-                    self._device_launches[dev] = \
-                        self._device_launches.get(dev, 0) + 1
-            self._d2d_bytes += getattr(devset, "bytes_d2d", 0)
-            self._d2d_copies += getattr(devset, "d2d_copies", 0)
+            self._device_busy += busy
 
     # -- derived views -------------------------------------------------------
     def utilization(self) -> float:
@@ -247,14 +237,11 @@ class Telemetry:
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             latency = dict(self._latency)
-            device_busy = dict(self._device_busy)
-            device_launches = dict(self._device_launches)
+            device_busy = self._device_busy
             queue_depth = self._queue_depth
             inflight = self._inflight
             finished = self._finished
             errors = self._errors
-            d2d_bytes = self._d2d_bytes
-            d2d_copies = self._d2d_copies
         uptime = max(0.0, self._clock() - self.started_at)
         window = min(self.window_s, max(1e-9, uptime))
         verbs: Dict[str, Dict[str, object]] = {}
@@ -272,17 +259,6 @@ class Telemetry:
                 "max_ms": merged.max,
                 "buckets": merged.buckets_le(),
             }
-        devices: Dict[str, Dict[str, object]] = {}
-        for dev in sorted(device_busy):
-            devices[str(dev)] = {
-                "busy_s": device_busy[dev],
-                "requests": device_launches.get(dev, 0),
-            }
-        busy_values = [v for v in device_busy.values() if v > 0.0]
-        imbalance = None
-        if busy_values:
-            mean = sum(busy_values) / len(busy_values)
-            imbalance = (max(busy_values) / mean) if mean > 0 else None
         return {
             "uptime_s": uptime,
             "window_s": self.window_s,
@@ -293,9 +269,7 @@ class Telemetry:
             "queue_depth": queue_depth,
             "utilization": self.utilization(),
             "verbs": verbs,
-            "devices": devices,
-            "shard_imbalance": imbalance,
-            "d2d": {"bytes": d2d_bytes, "copies": d2d_copies},
+            "device_busy_s": device_busy,
         }
 
 
@@ -369,22 +343,9 @@ def render_prometheus(snapshot: Dict[str, object],
             sample(f"{full}_sum", {"verb": verb},
                    mean * stats.get("count", 0))
 
-    devices = snapshot.get("devices") or {}
-    if devices:
-        full = family("device_busy_seconds", "counter",
-                      "Cumulative modeled busy time per simulated device.")
-        for dev, stats in sorted(devices.items(), key=lambda kv: int(kv[0])):
-            sample(full, {"device": dev}, stats.get("busy_s", 0.0))
-    imbalance = snapshot.get("shard_imbalance")
-    if imbalance is not None:
-        full = family("shard_imbalance", "gauge",
-                      "Max over mean per-device busy time.")
-        sample(full, {}, imbalance)
-    d2d = snapshot.get("d2d") or {}
-    full = family("d2d_bytes_total", "counter", "Bytes over modeled P2P links.")
-    sample(full, {}, d2d.get("bytes", 0))
-    full = family("d2d_copies_total", "counter", "Device-to-device copies.")
-    sample(full, {}, d2d.get("copies", 0))
+    full = family("device_busy_seconds", "counter",
+                  "Cumulative modeled busy time of the simulated device.")
+    sample(full, {}, snapshot.get("device_busy_s", 0.0))
 
     if cache:
         full = family("cache_hit_ratio", "gauge",

@@ -15,29 +15,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.device import Device
-from repro.device import vectorize
-from repro.device.deviceset import DeviceSet
 from repro.device.engine import LaunchResult, LaunchSpec, Schedule
-from repro.device.reduction import tree_reduce
 from repro.device.transfer import coalesce_intervals, diff_intervals
-from repro.errors import (
-    RuntimeFault,
-    ShardingConflictError,
-    TransferCorruptionError,
-    TransientFault,
-)
+from repro.errors import RuntimeFault, TransferCorruptionError, TransientFault
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.chaos import FaultPlan
-from repro.runtime.coherence import (
-    CPU,
-    GPU,
-    P2P_REDUNDANT,
-    STALE_REPLICA,
-    CoherenceTracker,
-    Finding,
-)
-from repro.runtime.intervals import D2H, H2D, DirtyMap, IntervalSet
-from repro.runtime.partition import shard_footprints, shard_ranges
+from repro.runtime.coherence import CPU, GPU, CoherenceTracker
+from repro.runtime.intervals import D2H, H2D, DirtyMap
 from repro.runtime.present import PresentTable
 from repro.runtime.profiler import (
     CAT_ASYNC_WAIT,
@@ -46,18 +30,15 @@ from repro.runtime.profiler import (
     CAT_KERNEL,
     CAT_MEM_ALLOC,
     CAT_MEM_FREE,
-    CAT_P2P,
     CAT_RESULT_COMP,
     CAT_TRANSFER,
     CTR_ALLOC_RETRIED,
-    CTR_BYTES_D2D,
     CTR_BYTES_D2H,
     CTR_BYTES_H2D,
     CTR_BYTES_SAVED,
     CTR_LAUNCH_INTERLEAVED,
     CTR_LAUNCH_RETRIED,
     CTR_LAUNCH_VECTORIZED,
-    CTR_TRANSFER_D2D,
     CTR_TRANSFER_RETRIED,
     HIST_RETRY_BACKOFF_S,
     HIST_TRANSFER_BATCH_BYTES,
@@ -73,31 +54,14 @@ class TransferRecord:
 
     var: str
     site: str
-    direction: str      # "h2d" | "d2h" | "d2d"
+    direction: str      # "h2d" | "d2h"
     nbytes: int = 0     # bytes that actually crossed the link
     full_nbytes: int = 0  # bytes a whole-array/section transfer would move
     batches: int = 1    # coalesced interval batches (1 = classic copy)
-    # Transfer route endpoints ("host", "dev0", "dev1", ...).  Default to
-    # the single-device route implied by the direction, so records written
-    # before multi-device existed (and every n=1 record) stay well-formed.
-    src_device: str = ""
-    dst_device: str = ""
-
-    def __post_init__(self):
-        if not self.src_device:
-            object.__setattr__(
-                self, "src_device", "host" if self.direction == H2D else "dev0")
-        if not self.dst_device:
-            object.__setattr__(
-                self, "dst_device", "host" if self.direction == D2H else "dev0")
 
     @property
     def nbytes_saved(self) -> int:
         return max(0, self.full_nbytes - self.nbytes)
-
-    @property
-    def route(self) -> str:
-        return f"{self.src_device}->{self.dst_device}"
 
 
 @dataclass(frozen=True)
@@ -129,32 +93,11 @@ class AccRuntime:
         ctx=None,
     ):
         if device is None:
-            self.devset = DeviceSet(config=getattr(ctx, "device_config", None))
-        elif isinstance(device, DeviceSet):
-            self.devset = device
-        else:
-            # An explicitly constructed Device keeps its exact single-device
-            # behavior: the set degenerates to a one-member wrapper.
-            self.devset = DeviceSet.wrap(device)
-        self.device = self.devset.primary
-        self.ndevices = self.devset.ndevices
-        if self.ndevices > 1:
-            cfg = self.device.config
-            if chaos is not None:
-                raise ShardingConflictError(
-                    f"fault injection cannot combine with --devices "
-                    f"{self.ndevices}: chaos draws are ordered against a "
-                    "single device's operation stream (run with --devices 1)")
-            if not cfg.vectorize:
-                raise ShardingConflictError(
-                    f"--no-vectorize cannot combine with --devices "
-                    f"{self.ndevices}: sharding requires the static race-free "
-                    "proof the vectorizer produces (run with --devices 1)")
-            if cfg.schedule.kind == Schedule.RANDOM:
-                raise ShardingConflictError(
-                    f"the random schedule cannot combine with --devices "
-                    f"{self.ndevices}: stochastic interleaving is defined "
-                    "over one device's thread set (run with --devices 1)")
+            device = Device(config=getattr(ctx, "device_config", None))
+        self.device = device
+        # Modeled kernel seconds the device spent executing.  Telemetry reads
+        # it for device utilization; it never feeds back into the clock.
+        self.busy_s = 0.0
         self.profiler = profiler or Profiler()
         # The owning ToolchainContext, when the caller threads one through.
         # Chaos stays an explicit constructor argument — the context default
@@ -173,8 +116,7 @@ class AccRuntime:
         if self.tracer.enabled:
             profiler = self.profiler
             self.tracer.modeled_clock = lambda: profiler.now
-        for dev in self.devset.devices:
-            dev.tracer = self.tracer
+        self.device.tracer = self.tracer
         # Retry budget for operations that hit a fault marked transient
         # (TransientFault) or a detected transfer corruption.  Each retry
         # pays an exponential backoff on the simulated clock.  Both the
@@ -218,12 +160,6 @@ class AccRuntime:
         self._track_writes = self.delta_transfers or coherence is not None
         if self._track_writes:
             self.device.engine.collect_write_sets = True
-        if self.ndevices > 1:
-            # Sharded launches always want byte-exact write footprints: they
-            # drive replica invalidation, and with pre-validated shards the
-            # per-shard diffs merge to exactly the single-device footprint.
-            for dev in self.devset.devices:
-                dev.engine.collect_write_sets = True
         # Dead-target pins to apply right after the next allocation of a
         # variable (compiler-directed; see checkinsert).
         self._pending_pins: Dict[str, tuple] = {}
@@ -248,13 +184,7 @@ class AccRuntime:
                 lambda: self.device.alloc(var, host.shape, host.dtype),
                 CAT_MEM_ALLOC, CTR_ALLOC_RETRIED,
             )
-        handles = None
-        if self.ndevices > 1:
-            # Peer replicas allocate in parallel with the gateway buffer
-            # (independent devices), so they add no modeled time.
-            handles = [handle] + self.devset.alloc_peers(
-                var, host.shape, host.dtype)
-        entry = self.present.add(var, handle, handles=handles)
+        entry = self.present.add(var, handle)
         entry.copyout_on_exit.append(False)
         self.dirty.bind(var, host.size, host.itemsize)
         self.dirty.note_alloc(var)
@@ -287,8 +217,6 @@ class AccRuntime:
                                   var=var, site=site):
                 self.profiler.spend(CAT_MEM_FREE, self.device.config.costs.free_latency_s)
                 self.device.free(released.handle)
-                if self.ndevices > 1 and released.handles is not None:
-                    self.devset.free_peers(var, released.handles[1:])
             if self.coherence is not None and self.coherence.tracked(var):
                 self.coherence.on_free(var, site=site)  # also clears intervals
             else:
@@ -302,18 +230,7 @@ class AccRuntime:
     def copy_to_device(self, var: str, host: np.ndarray, queue: Optional[int] = None,
                        site: str = "", section=None) -> float:
         handle = self.present.handle_of(var)
-        gathered = self._gather_to_primary(var, section, H2D, site)
         plan = self._plan_transfer(var, handle, host, section, H2D)
-        if gathered is not None:
-            # Gathered elements the h2d immediately overwrites were moved
-            # for nothing: the classic redundant-transfer finding, lifted to
-            # the P2P fabric.
-            overlap = gathered.intersection(
-                IntervalSet(plan.intervals) if plan.intervals is not None
-                else IntervalSet([plan.span]))
-            if overlap:
-                self._cross_finding(P2P_REDUNDANT, var, site,
-                                    nbytes=overlap.covered * plan.itemsize)
         with self.tracer.span("transfer.h2d", category="runtime.transfer",
                               var=var, site=site, bytes=plan.nbytes,
                               full_bytes=plan.full_nbytes,
@@ -335,7 +252,6 @@ class AccRuntime:
     def copy_to_host(self, var: str, host: np.ndarray, queue: Optional[int] = None,
                      site: str = "", section=None) -> float:
         handle = self.present.handle_of(var)
-        self._gather_to_primary(var, section, D2H, site)
         plan = self._plan_transfer(var, handle, host, section, D2H)
         with self.tracer.span("transfer.d2h", category="runtime.transfer",
                               var=var, site=site, bytes=plan.nbytes,
@@ -396,77 +312,6 @@ class AccRuntime:
         return _TransferPlan(batches, nbytes, full_nbytes, len(batches), (lo, hi),
                              itemsize)
 
-    def _gather_to_primary(self, var: str, section, direction: str,
-                           site: str) -> Optional[IntervalSet]:
-        """Multi-device only: before any host<->device transfer, pull every
-        element the gateway (device 0) holds stale — within the transfer
-        span — from peer replicas, so host traffic sees exactly the logical
-        single-device values and the delta planner's bitwise diff matches
-        the n=1 diff byte-for-byte.  Two sound skips keep D2D traffic
-        minimal: a whole/sectioned h2d overwrites its span anyway, and in
-        delta mode the intervals already pending h2d are transferred (and
-        overwritten) regardless of what the gateway holds.  Returns the
-        gathered interval set (None when nothing moved)."""
-        if self.ndevices <= 1:
-            return None
-        entry = self.present.lookup(var)
-        if entry.handles is None:
-            return None
-        size = self.device.array(entry.handle).size
-        if section is None:
-            lo, hi = 0, size
-        else:
-            start, length = section
-            lo, hi = start, start + length
-        want = self.devset.replicas.stale(var, 0).intersect(lo, hi)
-        if direction == H2D:
-            if not self.delta_transfers:
-                return None  # whole/sectioned copy overwrites the span
-            pending = self.dirty.pending(var, H2D)
-            if pending is None:
-                return None  # unbound: the plan degenerates to whole-copy
-            want = want.difference(pending)
-        if not want:
-            return None
-        copies = self.devset.pull(var, 0, want, entry.handles, site=site)
-        self._charge_d2d(copies, site)
-        return want
-
-    def _charge_d2d(self, copies, site: str) -> None:
-        """Charge executed D2D copies: modeled P2P link time, the d2d byte
-        and copy counters, a transfer.d2d span per copy (tagged with the
-        destination device for per-device trace lanes), and a route-stamped
-        entry in the transfer log."""
-        for copy in copies:
-            seconds = self.devset.p2p_time(copy)
-            with self.tracer.span("transfer.d2d", category="runtime.transfer",
-                                  var=copy.var, site=site, bytes=copy.nbytes,
-                                  batches=len(copy.intervals), src=copy.src,
-                                  dst=copy.dst, device=copy.dst):
-                self.profiler.spend(CAT_P2P, seconds)
-            self.profiler.count(CTR_BYTES_D2D, copy.nbytes)
-            self.profiler.count(CTR_TRANSFER_D2D)
-            self.transfer_log.append(TransferRecord(
-                copy.var, site, "d2d", nbytes=copy.nbytes,
-                full_nbytes=copy.nbytes, batches=len(copy.intervals),
-                src_device=f"dev{copy.src}", dst_device=f"dev{copy.dst}"))
-
-    def _cross_finding(self, kind: str, var: str, site: str,
-                       nbytes: int = 0) -> None:
-        """Record one cross-device coherence finding (p2p-missing /
-        p2p-redundant / stale-replica), mirrored into the host<->device
-        tracker's finding list when one is attached so memcheck surfaces
-        it alongside the paper's kinds."""
-        context = (tuple(self.coherence._context)
-                   if self.coherence is not None else ())
-        finding = Finding(kind, var, site, context=context,
-                          nbytes_wasted=nbytes)
-        self.devset.findings.append(finding)
-        if self.coherence is not None:
-            self.coherence.findings.append(finding)
-        self.tracer.event("coherence.finding", kind=kind, var=var, site=site,
-                          nbytes_wasted=nbytes)
-
     def _transfer_done(self, var: str, src: str, dst: str, site: str,
                        section, plan: _TransferPlan, direction: str) -> None:
         """Post-success bookkeeping: coherence hooks, dirty-interval drain,
@@ -492,14 +337,6 @@ class AccRuntime:
             for start, stop in plan.intervals:
                 self.profiler.observe(HIST_TRANSFER_BATCH_BYTES,
                                       (stop - start) * plan.itemsize)
-        if self.ndevices > 1 and direction == H2D:
-            # The gateway now matches the host (= the logical value) over
-            # the span; peers are stale wherever the copy changed bytes.
-            span_ivs = IntervalSet([plan.span])
-            self.devset.replicas.mark_fresh(var, 0, span_ivs)
-            changed = (IntervalSet(plan.intervals)
-                       if plan.intervals is not None else span_ivs)
-            self.devset.replicas.mark_stale_others(var, 0, changed)
 
     def _hardened_transfer(self, op, var: str, handle: int, host: np.ndarray,
                            section, site: str) -> float:
@@ -605,18 +442,13 @@ class AccRuntime:
                backend: Optional[str] = None) -> LaunchResult:
         with self.tracer.span("kernel.launch", category="runtime.kernel",
                               kernel=spec.name) as sp:
-            if self.ndevices > 1:
-                result, seconds = self._launch_sharded(spec, schedule, backend)
-            else:
-                result = self._retrying(
-                    lambda: self.device.launch(spec, schedule=schedule,
-                                               async_queue=queue,
-                                               backend=backend),
-                    CAT_KERNEL, CTR_LAUNCH_RETRIED,
-                )
-                seconds = self.device.config.costs.kernel_time(
-                    result.total_steps)
-                self.devset.busy_s[0] += seconds
+            result = self._retrying(
+                lambda: self.device.launch(spec, schedule=schedule,
+                                           async_queue=queue, backend=backend),
+                CAT_KERNEL, CTR_LAUNCH_RETRIED,
+            )
+            seconds = self.device.config.costs.kernel_time(result.total_steps)
+            self.busy_s += seconds
             sp.set_attr("backend", result.backend)
             sp.set_attr("steps", result.total_steps)
             if queue is not None:
@@ -635,144 +467,6 @@ class AccRuntime:
             if self.sampler is not None:
                 self.sampler.on_launch(spec, result)
         return result
-
-    def _launch_sharded(self, spec: LaunchSpec, schedule: Optional[Schedule],
-                        backend: Optional[str]) -> Tuple[LaunchResult, float]:
-        """Split one statically race-free launch across the device set.
-
-        Pipeline: prove shardability (or raise the typed conflict), split the
-        lane space into contiguous per-device ranges, predict each shard's
-        read+planned-write footprint from the vector plan's retained
-        subscript ASTs, pull exactly the stale part of each footprint over
-        the P2P fabric (minimal halo exchange), run every shard on its own
-        device, then merge — summed steps, unioned write footprints, and
-        reductions rebuilt from the concatenated per-lane partials so the
-        combine tree is bit-identical to the single-device one.  Modeled
-        kernel time is the max over shards (they run concurrently)."""
-        ndev = self.ndevices
-        schedule = schedule or self.device.config.schedule
-        if backend == "interleaved":
-            raise ShardingConflictError(
-                f"kernel {spec.name!r}: the forced interleaved backend "
-                f"cannot shard across {ndev} devices (run with --devices 1)")
-        if schedule.kind == Schedule.RANDOM:
-            raise ShardingConflictError(
-                f"kernel {spec.name!r}: the random schedule cannot shard "
-                f"across {ndev} devices (run with --devices 1)")
-        plan = vectorize.plan_for(spec)
-        if plan is None:
-            reason = vectorize.reject_reason(spec) or "not statically race-free"
-            raise ShardingConflictError(
-                f"kernel {spec.name!r} cannot shard across {ndev} devices: "
-                f"{reason} (run with --devices 1)")
-        # Kernel-local array name -> (canonical name, per-device handles).
-        handles: Dict[str, Tuple[str, List[int]]] = {}
-        for kname in spec.arrays:
-            cname = spec.array_names.get(kname, kname)
-            if not self.present.is_present(cname):
-                raise ShardingConflictError(
-                    f"kernel {spec.name!r}: array '{cname}' has no "
-                    "present-table entry, so no peer replicas exist to "
-                    "shard over (run with --devices 1)")
-            entry = self.present.lookup(cname)
-            if entry.handles is None:
-                raise ShardingConflictError(
-                    f"kernel {spec.name!r}: array '{cname}' was allocated "
-                    "before multi-device mode; no peer replicas exist")
-            handles[kname] = (cname, entry.handles)
-
-        shards = shard_ranges(spec.nthreads, ndev)
-        foots = shard_footprints(spec, plan, shards)
-
-        # One stale-replica warning per (launch, array) whose footprint the
-        # probe could not evaluate — those arrays fall back to whole-replica
-        # revalidation, which is correct but not minimal.
-        inexact = sorted({kname for per in foots for kname, fp in per.items()
-                          if not fp.exact})
-        for kname in inexact:
-            self._cross_finding(STALE_REPLICA, handles[kname][0], spec.name)
-
-        # Pre-launch halo exchange: each shard's device becomes fresh over
-        # everything the shard may read — including its planned writes, so
-        # the post-launch scratch diff equals the single-device diff.
-        for d, per_array in enumerate(foots):
-            for kname, fp in per_array.items():
-                cname, hlist = handles[kname]
-                copies = self.devset.pull(cname, d, fp.needed, hlist,
-                                          site=spec.name)
-                self._charge_d2d(copies, spec.name)
-
-        results: List[LaunchResult] = []
-        partials_list: List[Dict[str, List]] = []
-        for d, (lo, hi) in enumerate(shards):
-            arrays_d = (spec.arrays if d == 0 else
-                        {kname: self.devset.devices[d].array(hlist[d])
-                         for kname, (_, hlist) in handles.items()})
-            sub = LaunchSpec(
-                spec.name, spec.instrs, spec.index_vars, spec.threads[lo:hi],
-                arrays_d, scalars=spec.scalars,
-                private_decls=spec.private_decls,
-                firstprivate=spec.firstprivate,
-                reductions=spec.reductions, array_names=spec.array_names,
-            )
-            partials: Dict[str, List] = {}
-            with self.tracer.span("kernel.shard", category="runtime.kernel",
-                                  kernel=spec.name, device=d,
-                                  lanes=hi - lo) as shsp:
-                res = self.devset.devices[d].launch(sub, schedule=schedule,
-                                                    partials_out=partials)
-                shsp.set_attr("backend", res.backend)
-                shsp.set_attr("steps", res.total_steps)
-            results.append(res)
-            partials_list.append(partials)
-
-        # Post-launch replica invalidation: whatever shard d wrote is stale
-        # on every other replica.  Byte-exact footprints when the shard's
-        # vectorized diff is available; the probe's planned write set (or
-        # the whole array) otherwise.
-        for d, res in enumerate(results):
-            for kname in plan.written_arrays:
-                cname = handles[kname][0]
-                if res.write_sets is not None:
-                    wivs = res.write_sets.get(kname) or []
-                else:
-                    fp = foots[d].get(kname)
-                    if fp is not None and fp.planned is not None:
-                        wivs = fp.planned.intervals()
-                    else:
-                        wivs = [(0, int(spec.arrays[kname].size))]
-                if wivs:
-                    self.devset.replicas.mark_stale_others(cname, d, wivs)
-
-        # Merge into one LaunchResult indistinguishable from n=1.
-        total = sum(r.total_steps for r in results)
-        max_steps = max((r.max_thread_steps for r in results), default=0)
-        merged_writes: Optional[Dict[str, List[Tuple[int, int]]]] = {}
-        if any(r.write_sets is None for r in results):
-            merged_writes = None
-        else:
-            for kname in plan.written_arrays:
-                acc = IntervalSet()
-                for r in results:
-                    for a, b in (r.write_sets.get(kname) or []):
-                        acc.add(a, b)
-                merged_writes[kname] = acc.intervals()
-        reductions: Dict[str, object] = {}
-        for name, op, dtype in spec.reductions:
-            lane_partials: List = []
-            for partials in partials_list:
-                lane_partials.extend(partials.get(name, []))
-            reductions[name] = tree_reduce(op, lane_partials, dtype)
-        backend_kind = ("vectorized"
-                        if all(r.backend == "vectorized" for r in results)
-                        else "interleaved")
-        result = LaunchResult(spec.name, total, max_steps, reductions, {},
-                              backend=backend_kind, write_sets=merged_writes)
-        shard_seconds = [self.device.config.costs.kernel_time(r.total_steps)
-                         for r in results]
-        for dev, busy in enumerate(shard_seconds):
-            self.devset.busy_s[dev] += busy
-        return result, max(shard_seconds)
 
     def _note_launch_writes(self, spec: LaunchSpec, result: LaunchResult) -> None:
         """Feed the launch's write footprints into the dirty map.  The
@@ -868,7 +562,7 @@ class AccRuntime:
         restored in place, keeps both references coherent); the chaos entry
         is captured always but applied only on disk resume (see
         :meth:`FaultPlan.snapshot_state` for why rollback skips it)."""
-        state = {
+        return {
             "device": self.device.snapshot_state(),
             "present": self.present.snapshot_state(),
             "queues": self.queues.snapshot_state(),
@@ -882,11 +576,6 @@ class AccRuntime:
             "transfer_log": list(self.transfer_log),
             "pending_pins": dict(self._pending_pins),
         }
-        if self.ndevices > 1:
-            # Peer replicas + P2P accounting ride in their own key so the
-            # n=1 snapshot shape stays exactly the historical one.
-            state["deviceset"] = self.devset.snapshot_state()
-        return state
 
     def restore_state(self, state: Dict[str, object],
                       restore_chaos: bool = False) -> None:
@@ -906,5 +595,3 @@ class AccRuntime:
         self.launch_log[:] = state["launch_log"]
         self.transfer_log[:] = state["transfer_log"]
         self._pending_pins = dict(state["pending_pins"])
-        if self.ndevices > 1 and state.get("deviceset") is not None:
-            self.devset.restore_state(state["deviceset"])

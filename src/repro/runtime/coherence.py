@@ -48,26 +48,8 @@ MAY_INCORRECT = "may-incorrect"
 REDUNDANT = "redundant"
 MAY_REDUNDANT = "may-redundant"
 
-# Cross-device finding kinds (multi-device runs; beyond the paper's
-# host<->device kinds).  Reported by the DeviceSet's halo-exchange machinery:
-#   p2p-missing    — a shard needed elements no replica held fresh (exchange
-#                    invariant breach; error);
-#   p2p-redundant  — D2D-delivered bytes were immediately clobbered by the
-#                    following host->device transfer (wasted link traffic);
-#   stale-replica  — a shard footprint could not be evaluated exactly, so
-#                    the whole replica had to be revalidated.
-P2P_MISSING = "p2p-missing"
-P2P_REDUNDANT = "p2p-redundant"
-STALE_REPLICA = "stale-replica"
-
-ERROR_KINDS = frozenset({MISSING, INCORRECT, P2P_MISSING})
-WARNING_KINDS = frozenset({MAY_MISSING, MAY_INCORRECT, REDUNDANT,
-                           MAY_REDUNDANT, P2P_REDUNDANT, STALE_REPLICA})
-# The paper's host<->device kinds, for consumers (the multi-device CI gate)
-# that must compare finding sets across device counts.
-HOST_DEVICE_KINDS = frozenset({MISSING, MAY_MISSING, INCORRECT,
-                               MAY_INCORRECT, REDUNDANT, MAY_REDUNDANT})
-CROSS_DEVICE_KINDS = frozenset({P2P_MISSING, P2P_REDUNDANT, STALE_REPLICA})
+ERROR_KINDS = frozenset({MISSING, INCORRECT})
+WARNING_KINDS = frozenset({MAY_MISSING, MAY_INCORRECT, REDUNDANT, MAY_REDUNDANT})
 
 
 @dataclass(frozen=True)
@@ -85,7 +67,7 @@ class Finding:
 
     @property
     def is_error(self) -> bool:
-        return self.kind in ERROR_KINDS
+        return self.kind in (MISSING, INCORRECT)
 
     def message(self) -> str:
         ctx = ", ".join(f"enclosing loop {v} index = {i}" for v, i in self.context)
@@ -97,9 +79,6 @@ class Finding:
             MAY_INCORRECT: "copying may-stale '{v}' at {s}{c} may be incorrect",
             REDUNDANT: "copying '{v}' at {s}{c} is redundant",
             MAY_REDUNDANT: "copying '{v}' at {s}{c} may be redundant",
-            P2P_MISSING: "no fresh replica of '{v}' at {s}{c}: missing P2P transfer",
-            P2P_REDUNDANT: "P2P copy of '{v}' at {s}{c} is redundant",
-            STALE_REPLICA: "unevaluable footprint of '{v}' at {s}{c}: full replica revalidation",
         }
         text = templates[self.kind].format(v=self.var, s=self.site, c=ctx)
         if self.nbytes_wasted:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["IntervalSet", "DirtyMap", "ReplicaMap", "H2D", "D2H"]
+__all__ = ["IntervalSet", "DirtyMap", "H2D", "D2H"]
 
 H2D = "h2d"
 D2H = "d2h"
@@ -87,31 +87,6 @@ class IntervalSet:
         return result
 
     __or__ = union
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        """Elements of this set not in ``other``."""
-        result = self.copy()
-        for a, b in other._ivs:
-            result.subtract(a, b)
-        return result
-
-    __sub__ = difference
-
-    def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        """Elements present in both sets."""
-        out = IntervalSet()
-        ivs: List[Tuple[int, int]] = []
-        for a, b in self._ivs:
-            for c, d in other._ivs:
-                if d <= a:
-                    continue
-                if c >= b:
-                    break
-                ivs.append((max(a, c), min(b, d)))
-        out._ivs = ivs
-        return out
-
-    __and__ = intersection
 
     def clear(self) -> None:
         self._ivs = []
@@ -298,87 +273,3 @@ class DirtyMap:
             for direction, intervals in need.items():
                 entry.need[direction] = IntervalSet(intervals)
             self._vars[var] = entry
-
-
-class ReplicaMap:
-    """Per-device replica validity for multi-device (DeviceSet) runs.
-
-    The :class:`DirtyMap` above tracks the host against *the* device; under
-    sharding there are N device replicas of every present array, and this map
-    tracks which elements of each replica are **stale** — differ from the
-    logical single-device value.  Invariant: element ``e`` of ``var`` is in
-    ``stale(var, d)`` iff device ``d``'s copy of ``e`` may differ from what
-    the one-device runtime's buffer would hold.  Freshly allocated replicas
-    are all zero-filled identically, so every stale set starts empty.
-    """
-
-    __slots__ = ("ndevices", "_vars")
-
-    def __init__(self, ndevices: int):
-        self.ndevices = ndevices
-        # var -> (size, [stale IntervalSet per device])
-        self._vars: Dict[str, Tuple[int, List[IntervalSet]]] = {}
-
-    # -- geometry -----------------------------------------------------------
-    def bind(self, var: str, size: int) -> None:
-        entry = self._vars.get(var)
-        if entry is None or entry[0] != size:
-            self._vars[var] = (size, [IntervalSet() for _ in range(self.ndevices)])
-
-    def drop(self, var: str) -> None:
-        self._vars.pop(var, None)
-
-    def bound(self, var: str) -> bool:
-        return var in self._vars
-
-    def size(self, var: str) -> int:
-        return self._vars[var][0]
-
-    def stale(self, var: str, dev: int) -> IntervalSet:
-        """The stale set of device ``dev``'s replica (empty when unbound)."""
-        entry = self._vars.get(var)
-        if entry is None:
-            return IntervalSet()
-        return entry[1][dev]
-
-    # -- event hooks --------------------------------------------------------
-    def mark_fresh(self, var: str, dev: int,
-                   intervals: Iterable[Tuple[int, int]]) -> None:
-        """Device ``dev`` now holds logical values over ``intervals``
-        (a D2D copy from a fresh source, or an h2d landing on dev)."""
-        entry = self._vars.get(var)
-        if entry is None:
-            return
-        stale = entry[1][dev]
-        for a, b in intervals:
-            stale.subtract(a, b)
-
-    def mark_stale_others(self, var: str, dev: int,
-                          intervals: Iterable[Tuple[int, int]]) -> None:
-        """Device ``dev`` wrote logical values over ``intervals`` — every
-        *other* replica is stale there now."""
-        entry = self._vars.get(var)
-        if entry is None:
-            return
-        for d, stale in enumerate(entry[1]):
-            if d == dev:
-                continue
-            for a, b in intervals:
-                stale.add(a, b)
-
-    def missing(self, var: str, dev: int, needed: IntervalSet) -> IntervalSet:
-        """Elements of ``needed`` that device ``dev`` holds stale — exactly
-        what a halo exchange must deliver before ``dev`` may read them."""
-        return needed.intersection(self.stale(var, dev))
-
-    # -- checkpoint support --------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        return {
-            var: (size, [s.intervals() for s in stales])
-            for var, (size, stales) in self._vars.items()
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self._vars.clear()
-        for var, (size, stales) in state.items():
-            self._vars[var] = (size, [IntervalSet(ivs) for ivs in stales])

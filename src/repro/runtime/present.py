@@ -14,26 +14,13 @@ from repro.errors import RuntimeFault
 
 
 class PresentEntry:
-    __slots__ = ("name", "handle", "refcount", "copyout_on_exit", "handles")
+    __slots__ = ("name", "handle", "refcount", "copyout_on_exit")
 
-    def __init__(self, name: str, handle: int,
-                 handles: Optional[List[int]] = None):
+    def __init__(self, name: str, handle: int):
         self.name = name
         self.handle = handle
         self.refcount = 1
         self.copyout_on_exit: List[bool] = []  # stack, one flag per nesting level
-        # Multi-device runs: one handle per device in the DeviceSet, with
-        # handles[0] == handle.  None on the single-device path.
-        self.handles = handles
-
-    def handle_on(self, dev: int) -> int:
-        """Handle of this variable's replica on device ``dev``."""
-        if self.handles is None:
-            if dev != 0:
-                raise RuntimeFault(
-                    f"variable '{self.name}' has no replica on device {dev}")
-            return self.handle
-        return self.handles[dev]
 
     def __repr__(self):
         return f"PresentEntry({self.name}: handle={self.handle}, rc={self.refcount})"
@@ -55,11 +42,10 @@ class PresentTable:
     def handle_of(self, name: str) -> int:
         return self.lookup(name).handle
 
-    def add(self, name: str, handle: int,
-            handles: Optional[List[int]] = None) -> PresentEntry:
+    def add(self, name: str, handle: int) -> PresentEntry:
         if name in self._entries:
             raise RuntimeFault(f"variable '{name}' is already present on the device")
-        entry = PresentEntry(name, handle, handles=handles)
+        entry = PresentEntry(name, handle)
         self._entries[name] = entry
         return entry
 
@@ -86,24 +72,15 @@ class PresentTable:
 
     # -- checkpoint support --------------------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
-        # Single-device entries keep the historical 3-tuple shape so existing
-        # checkpoints round-trip unchanged; multi-device entries append their
-        # per-device handle list as a 4th element.
         return {
-            name: ((entry.handle, entry.refcount, list(entry.copyout_on_exit))
-                   if entry.handles is None else
-                   (entry.handle, entry.refcount, list(entry.copyout_on_exit),
-                    list(entry.handles)))
+            name: (entry.handle, entry.refcount, list(entry.copyout_on_exit))
             for name, entry in self._entries.items()
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         self._entries.clear()
-        for name, packed in state.items():
-            handle, refcount, copyout_on_exit = packed[:3]
+        for name, (handle, refcount, copyout_on_exit) in state.items():
             entry = PresentEntry(name, handle)
             entry.refcount = refcount
             entry.copyout_on_exit = list(copyout_on_exit)
-            if len(packed) > 3:
-                entry.handles = list(packed[3])
             self._entries[name] = entry

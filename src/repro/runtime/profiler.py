@@ -16,7 +16,7 @@ splitting a metric in two.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 # The counter-name registry lives in the obs layer (one source of truth for
 # every layer that mints counter names); re-exported here because the
@@ -42,9 +42,6 @@ CAT_CPU = "CPU Time"
 # Extra categories.
 CAT_KERNEL = "GPU Kernel"
 CAT_CHECK = "Coherence-Check"
-# Device-to-device traffic over modeled P2P links (multi-device runs only;
-# always 0.0 at --devices 1, so single-device breakdowns are unchanged).
-CAT_P2P = "P2P Transfer"
 
 # Counter names (Profiler.count) for the execution-backend split: how many
 # kernel launches ran on the vectorized fast path vs. the interleaved
@@ -70,11 +67,6 @@ CTR_LAUNCH_DEGRADED = register_counter("launch.degraded")
 CTR_BYTES_H2D = register_counter("bytes.h2d")
 CTR_BYTES_D2H = register_counter("bytes.d2h")
 CTR_BYTES_SAVED = register_counter("bytes.saved")
-
-# Multi-device (DeviceSet) traffic: bytes that crossed a modeled peer-to-peer
-# link and how many D2D copies carried them.  Both stay zero at --devices 1.
-CTR_BYTES_D2D = register_counter("bytes.d2d")
-CTR_TRANSFER_D2D = register_counter("transfer.d2d_copies")
 
 # Chaos-injection counters (bumped by FaultPlan.draw); the per-kind family
 # is dynamic — one counter per fault kind actually injected.
@@ -114,7 +106,6 @@ ALL_CATEGORIES = (
     CAT_CPU,
     CAT_KERNEL,
     CAT_CHECK,
-    CAT_P2P,
 )
 
 
@@ -128,8 +119,6 @@ class Profiler:
         # historical dict view.  Pass ``metrics`` with a parent to mirror
         # this profiler's metrics into a run-wide aggregate.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.timeline: List[Tuple[float, str, float]] = []
-        self.record_timeline = False
         # Optional observer (repro.sampling.PhaseSampler) that sees every
         # spend/count/observe as it happens.  None (the default) keeps the
         # hot paths branch-cheap and the profiler bit-identical to a
@@ -144,8 +133,6 @@ class Profiler:
         """Advance the host clock doing ``category`` work."""
         if seconds < 0:
             raise ValueError("negative duration")
-        if self.record_timeline:
-            self.timeline.append((self.now, category, seconds))
         if self.tap is not None:
             self.tap.on_spend(category, seconds)
         self.now += seconds
@@ -192,17 +179,15 @@ class Profiler:
         self.now = 0.0
         self.totals = {cat: 0.0 for cat in ALL_CATEGORIES}
         self.metrics.reset()
-        self.timeline.clear()
 
     # -- checkpoint support -------------------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
-        """Copy of the clock, totals, timeline, and metrics (for
-        :mod:`repro.runtime.checkpoint`).  The tap and timeline flags are
-        configuration, not state, and are not captured."""
+        """Copy of the clock, totals, and metrics (for
+        :mod:`repro.runtime.checkpoint`).  The tap is configuration, not
+        state, and is not captured."""
         return {
             "now": self.now,
             "totals": dict(self.totals),
-            "timeline": list(self.timeline),
             "metrics": self.metrics.snapshot_state(),
         }
 
@@ -210,10 +195,11 @@ class Profiler:
                       keep_counter_prefixes: Tuple[str, ...] = ()) -> None:
         """Rewind to a :meth:`snapshot_state` capture.  Counters under
         ``keep_counter_prefixes`` keep their *current* values (the recovery
-        trail must survive the rollback that writes it)."""
+        trail must survive the rollback that writes it).  Keys this
+        profiler does not read (an older capture's ``timeline``) are
+        ignored."""
         self.now = state["now"]
         self.totals = dict(state["totals"])
-        self.timeline[:] = state["timeline"]
         self.metrics.restore_state(state["metrics"],
                                    keep_prefixes=keep_counter_prefixes)
 

@@ -18,8 +18,6 @@ Request shape::
      "source": "<program text>",        #   (source is spooled to a
                                         #    fingerprint-named file)
      "params": {"N": 64, ...},          # -p NAME=VALUE bindings
-     "devices": 2,                      # run/profile/memcheck: shard across
-                                        #   N simulated devices (--devices)
      "options": "<string>",             # verify: VerificationOptions string
      "outputs": "a,r",                  # optimize: observable outputs
      "args": ["--no-auto-privatize"],   # extra CLI flags (whitelisted)
@@ -27,6 +25,10 @@ Request shape::
      "format": "json" | "prometheus",   # stats exposition (default json)
      "flight": true,                    # stats: include flight-recorder tail
      "files": [...], "sources": [...]}  # cache.warm inputs
+
+A key the op does not read is rejected, never ignored: a client that
+misspells ``"ouputs"`` gets a typed error naming the key instead of a
+response to a request it did not mean to send.
 
 Toolchain ops are mapped to the *offline CLI's own argument parser and
 command functions*, which is what makes the service's byte-identity
@@ -64,12 +66,22 @@ __all__ = [
 
 # Toolchain ops are exactly the CLI subcommands the daemon re-serves.
 TOOLCHAIN_OPS = ("compile", "run", "profile", "verify", "memcheck", "optimize")
-ADMIN_OPS = ("cache.stats", "cache.clear", "cache.warm", "stats", "ping",
-             "shutdown")
 
-# Toolchain ops that accept multi-device sharding over the wire (compile has
-# no runtime; verify/optimize drive their own runs).
-_DEVICE_OPS = ("run", "profile", "memcheck")
+# The keys each op reads, beyond the ones every request may carry.  The
+# toolchain ops share one set; build_argv rejects the op-specific keys
+# (options, outputs, compile params) where they do not apply.
+_COMMON_KEYS = frozenset({"id", "op", "trace_id"})
+_TOOLCHAIN_KEYS = frozenset({"file", "source", "params", "options",
+                             "outputs", "args"})
+_ADMIN_KEYS = {
+    "cache.stats": frozenset(),
+    "cache.clear": frozenset({"tier"}),
+    "cache.warm": frozenset({"files", "sources"}),
+    "stats": frozenset({"format", "flight"}),
+    "ping": frozenset(),
+    "shutdown": frozenset(),
+}
+ADMIN_OPS = tuple(_ADMIN_KEYS)
 
 # Per-program flags a client may pass through to the CLI parser.  Anything
 # else (trace/report paths, checkpoint dirs, chaos seeds...) touches the
@@ -103,6 +115,12 @@ def decode_request(line: bytes) -> Dict:
     trace_id = request.get("trace_id")
     if trace_id is not None and not isinstance(trace_id, str):
         raise ServiceProtocolError("'trace_id' must be a string")
+    unknown = sorted(set(request) - _COMMON_KEYS
+                     - _ADMIN_KEYS.get(op, _TOOLCHAIN_KEYS))
+    if unknown:
+        raise ServiceProtocolError(
+            f"op {op!r} does not read key(s) "
+            f"{', '.join(repr(key) for key in unknown)}")
     return request
 
 
@@ -136,15 +154,6 @@ def build_argv(request: Dict, program_path: str) -> List[str]:
             raise ServiceProtocolError(
                 f"param {name!r} must be numeric, got {type(value).__name__}")
         argv += ["-p", f"{name}={value}"]
-    devices = request.get("devices")
-    if devices is not None:
-        if op not in _DEVICE_OPS:
-            raise ServiceProtocolError(
-                f"'devices' applies to ops {', '.join(_DEVICE_OPS)} only")
-        if not isinstance(devices, int) or isinstance(devices, bool) \
-                or devices < 1:
-            raise ServiceProtocolError("'devices' must be a positive integer")
-        argv += ["--devices", str(devices)]
     options = request.get("options")
     if options is not None:
         if op != "verify":

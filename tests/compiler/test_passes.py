@@ -1,8 +1,6 @@
 """PassManager behaviour: per-pass caching/invalidation, timing coverage,
 dump hooks, and the retirement of module-global toolchain state."""
 
-import warnings
-
 import pytest
 
 from repro.compiler import CompilerOptions, compile_ast, compile_source
@@ -160,21 +158,6 @@ class TestNoModuleGlobalChaos:
         from repro.experiments import harness
 
         assert not hasattr(harness, "_DEFAULT_CHAOS")
-
-    def test_set_default_chaos_shim_warns_and_targets_default_context(self):
-        from repro.experiments.harness import set_default_chaos
-        from repro.runtime.chaos import FaultPlan, FaultSpec
-        from repro.toolchain import default_context
-
-        plan = FaultPlan(FaultSpec.default(seed=7))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            set_default_chaos(plan)
-            assert default_context().default_chaos is plan
-            set_default_chaos(None)
-            assert default_context().default_chaos is None
-        assert all(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert len(caught) == 2
 
     def test_context_resolve_chaos_prefers_explicit(self):
         from repro.runtime.chaos import FaultPlan, FaultSpec

@@ -1,10 +1,9 @@
 """Counter-name registry completeness.
 
 Two layers: the specific counters each subsystem is contracted to register
-(the multi-device D2D counters from the DeviceSet runtime, the service
-cache tiers, the daemon request counters), and a source scan proving no
-``.count("...")`` call site or bare ``CTR_* = "..."`` declaration anywhere
-in ``src/repro`` uses a name the registry does not know."""
+(the service cache tiers, the daemon request counters), and a source scan
+proving no ``.count("...")`` call site or bare ``CTR_* = "..."`` declaration
+anywhere in ``src/repro`` uses a name the registry does not know."""
 
 import re
 from pathlib import Path
@@ -35,11 +34,6 @@ def _ensure_subsystems_imported():
 class TestContractedCounters:
     def setup_method(self):
         _ensure_subsystems_imported()
-
-    def test_multidevice_d2d_counters_registered(self):
-        # The PR-8 DeviceSet counters belong to the registry like any other.
-        assert is_registered_counter("bytes.d2d")
-        assert is_registered_counter("transfer.d2d_copies")
 
     def test_cache_tier_counters_registered(self):
         for name in ("cache.tier.mem.hit", "cache.tier.mem.miss",

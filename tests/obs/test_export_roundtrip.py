@@ -1,8 +1,7 @@
-"""Exporter round-trip tests on a telemetry-enabled multi-device run.
+"""Exporter round-trip tests on a telemetry-enabled run.
 
-One traced 2-device benchmark run feeds every exporter: the Chrome-trace
-form must carry the per-device swimlanes (synthetic ``tid 1000000+dev``)
-and the ``trace_context`` metadata event, the JSONL form must re-parse
+One traced benchmark run feeds every exporter: the Chrome-trace form must
+carry the ``trace_context`` metadata event, the JSONL form must re-parse
 losslessly with its identity header, and the RunReport built from the same
 context must satisfy ``validate_report`` with the trace identity stamped."""
 
@@ -11,7 +10,6 @@ import json
 import pytest
 
 from repro.bench import suite
-from repro.device.device import DeviceConfig
 from repro.interp import run_compiled
 from repro.obs.export import chrome_trace_events, to_jsonl_lines
 from repro.obs.report import build_report, validate_report
@@ -19,14 +17,11 @@ from repro.obs.telemetry import TraceContext
 from repro.obs.tracer import Tracer
 from repro.toolchain import ToolchainContext
 
-DEVICE_TID_BASE = 1000000
-
-
 @pytest.fixture(scope="module")
 def traced_run():
-    """One JACOBI run across 2 simulated devices with tracing + identity."""
+    """One JACOBI run with tracing + identity."""
     bench = suite.get("JACOBI")
-    ctx = ToolchainContext(device_config=DeviceConfig(devices=2))
+    ctx = ToolchainContext()
     ctx.tracer = Tracer()
     ctx.trace_context = TraceContext("feedc0de12345678", "r000042")
     ctx.tracer.trace_context = ctx.trace_context
@@ -36,17 +31,6 @@ def traced_run():
 
 
 class TestChromeTrace:
-    def test_device_lanes_use_synthetic_tids(self, traced_run):
-        ctx, _ = traced_run
-        events = chrome_trace_events(ctx.tracer)
-        lane_tids = {e["tid"] for e in events
-                     if e.get("ph") == "X"
-                     and isinstance(e["args"].get("device"), int)}
-        assert lane_tids == {DEVICE_TID_BASE, DEVICE_TID_BASE + 1}
-        names = {e["args"]["name"] for e in events
-                 if e.get("ph") == "M" and e["name"] == "thread_name"}
-        assert names == {"dev0", "dev1"}
-
     def test_trace_context_metadata_event(self, traced_run):
         ctx, _ = traced_run
         events = chrome_trace_events(ctx.tracer)
@@ -88,14 +72,6 @@ class TestJsonl:
             # Lossless: re-serializing with the exporter's own settings
             # reproduces the line byte-for-byte.
             assert json.dumps(record, sort_keys=True) == line
-
-    def test_device_spans_present(self, traced_run):
-        ctx, _ = traced_run
-        records = [json.loads(l) for l in to_jsonl_lines(ctx.tracer)]
-        devices = {r["attrs"]["device"] for r in records
-                   if r["kind"] == "span"
-                   and isinstance(r.get("attrs", {}).get("device"), int)}
-        assert devices == {0, 1}
 
 
 class TestReport:

@@ -148,28 +148,18 @@ class TestTelemetry:
         assert tel.snapshot()["errors"] == 1
 
     def test_record_run_folds_device_aggregates(self):
-        class FakeDevset:
-            busy_s = [0.25, 0.75]
-            bytes_d2d = 128
-            d2d_copies = 2
-
         class FakeRuntime:
-            devset = FakeDevset()
+            busy_s = 0.25
 
         tel = Telemetry(workers=1)
         tel.record_run(FakeRuntime())
         tel.record_run(FakeRuntime())
-        snap = tel.snapshot()
-        assert snap["devices"]["0"]["busy_s"] == pytest.approx(0.5)
-        assert snap["devices"]["1"]["busy_s"] == pytest.approx(1.5)
-        assert snap["d2d"] == {"bytes": 256, "copies": 4}
-        # imbalance = max/mean of per-device busy = 1.5 / 1.0
-        assert snap["shard_imbalance"] == pytest.approx(1.5)
+        assert tel.snapshot()["device_busy_s"] == pytest.approx(0.5)
 
-    def test_record_run_without_devset_is_noop(self):
+    def test_record_run_without_busy_time_is_noop(self):
         tel = Telemetry(workers=1)
         tel.record_run(object())
-        assert tel.snapshot()["devices"] == {}
+        assert tel.snapshot()["device_busy_s"] == 0.0
 
 
 class TestRenderPrometheus:
@@ -181,13 +171,8 @@ class TestRenderPrometheus:
         tel.request_started("run")
         tel.request_finished("run", 0.5, ok=False)
 
-        class FakeDevset:
-            busy_s = [0.1, 0.2]
-            bytes_d2d = 64
-            d2d_copies = 1
-
         class FakeRuntime:
-            devset = FakeDevset()
+            busy_s = 0.3
 
         tel.record_run(FakeRuntime())
         return tel.snapshot()
@@ -195,7 +180,7 @@ class TestRenderPrometheus:
     def test_exposition_is_valid(self):
         text = render_prometheus(
             self._loaded_snapshot(),
-            counters={"service.requests": 21, "bytes.d2d": 64},
+            counters={"service.requests": 21, "bytes.h2d": 64},
             cache={"mem": {"hits": 3, "misses": 1, "hit_ratio": 0.75},
                    "disk": {"hits": 0, "misses": 4, "hit_ratio": 0.0}})
         problems = validate_prometheus(
@@ -206,6 +191,8 @@ class TestRenderPrometheus:
                 "repro_device_busy_seconds", "repro_cache_hit_ratio",
                 "repro_counter_total"))
         assert problems == []
+        # One unlabelled busy series for the one simulated device.
+        assert "repro_device_busy_seconds 0.3" in text.splitlines()
 
     def test_counter_names_are_sanitized(self):
         text = render_prometheus(self._loaded_snapshot())

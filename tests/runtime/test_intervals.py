@@ -136,69 +136,3 @@ class TestDirtyMap:
         assert dm.pending("a", H2D).intervals() == [(0, 100)]
         assert not dm.pending("a", D2H)
 
-
-class TestReplicaMap:
-    @pytest.fixture
-    def rm(self):
-        from repro.runtime.intervals import ReplicaMap
-
-        rm = ReplicaMap(3)
-        rm.bind("a", 100)
-        return rm
-
-    def test_fresh_replicas_start_with_empty_stale_sets(self, rm):
-        for dev in range(3):
-            assert not rm.stale("a", dev)
-        assert rm.bound("a") and rm.size("a") == 100
-
-    def test_write_stales_every_other_replica(self, rm):
-        rm.mark_stale_others("a", 1, [(10, 20)])
-        assert rm.stale("a", 0).intervals() == [(10, 20)]
-        assert not rm.stale("a", 1)
-        assert rm.stale("a", 2).intervals() == [(10, 20)]
-
-    def test_mark_fresh_clears_stale(self, rm):
-        rm.mark_stale_others("a", 0, [(0, 50)])
-        rm.mark_fresh("a", 2, [(10, 30)])
-        assert rm.stale("a", 2).intervals() == [(0, 10), (30, 50)]
-
-    def test_missing_is_needed_intersect_stale(self, rm):
-        rm.mark_stale_others("a", 0, [(0, 40)])
-        needed = IntervalSet([(30, 60)])
-        assert rm.missing("a", 1, needed).intervals() == [(30, 40)]
-        assert not rm.missing("a", 0, needed)   # the writer stays fresh
-
-    def test_unbound_var_is_never_stale(self, rm):
-        assert not rm.stale("zzz", 0)
-        rm.mark_stale_others("zzz", 0, [(0, 10)])   # silently ignored
-        assert not rm.missing("zzz", 1, IntervalSet([(0, 10)]))
-
-    def test_rebind_same_size_keeps_state(self, rm):
-        rm.mark_stale_others("a", 0, [(0, 10)])
-        rm.bind("a", 100)
-        assert rm.stale("a", 1).intervals() == [(0, 10)]
-        rm.bind("a", 64)    # geometry change resets
-        assert not rm.stale("a", 1)
-
-    def test_drop_forgets_var(self, rm):
-        rm.mark_stale_others("a", 0, [(0, 10)])
-        rm.drop("a")
-        assert not rm.bound("a")
-        assert not rm.stale("a", 1)
-
-    def test_snapshot_restore_round_trip(self, rm):
-        rm.mark_stale_others("a", 1, [(5, 25)])
-        snap = rm.snapshot_state()
-        rm.mark_stale_others("a", 0, [(0, 100)])
-        rm.drop("a")
-        rm.restore_state(snap)
-        assert rm.stale("a", 0).intervals() == [(5, 25)]
-        assert not rm.stale("a", 1)
-        assert rm.size("a") == 100
-
-    def test_snapshot_is_deep(self, rm):
-        rm.mark_stale_others("a", 1, [(5, 25)])
-        snap = rm.snapshot_state()
-        rm.mark_fresh("a", 0, [(5, 25)])
-        rm.restore_state(snap)
-        assert rm.stale("a", 0).intervals() == [(5, 25)]

@@ -34,6 +34,40 @@ class TestDecode:
             assert protocol.decode_request(
                 json.dumps({"op": op}).encode())["op"] == op
 
+    def test_devices_key_rejected(self):
+        # The runtime owns one device; a client asking for more must hear
+        # so instead of silently running on that one.
+        line = json.dumps({"op": "run", "source": "x", "devices": 2})
+        with pytest.raises(ServiceProtocolError, match="'devices'"):
+            protocol.decode_request(line.encode())
+
+    def test_misspelt_key_rejected(self):
+        line = json.dumps({"op": "optimize", "source": "x", "ouputs": "a"})
+        with pytest.raises(ServiceProtocolError, match="'ouputs'"):
+            protocol.decode_request(line.encode())
+
+    def test_admin_key_rejected_on_toolchain_op(self):
+        line = json.dumps({"op": "run", "source": "x", "tier": "mem"})
+        with pytest.raises(ServiceProtocolError, match="'tier'"):
+            protocol.decode_request(line.encode())
+
+    def test_toolchain_key_rejected_on_admin_op(self):
+        with pytest.raises(ServiceProtocolError, match="'params'"):
+            protocol.decode_request(
+                b'{"op": "ping", "params": {"N": 8}}\n')
+
+    def test_every_read_key_accepted(self):
+        full = {"id": 1, "trace_id": "ab12", "file": "p.c", "source": "x",
+                "params": {"N": 8}, "options": "", "outputs": "a",
+                "args": []}
+        for op in protocol.TOOLCHAIN_OPS:
+            protocol.decode_request(json.dumps({"op": op, **full}).encode())
+        for op, fields in (("cache.clear", {"tier": "mem"}),
+                           ("cache.warm", {"files": [], "sources": []}),
+                           ("stats", {"format": "json", "flight": True})):
+            protocol.decode_request(
+                json.dumps({"op": op, "id": 2, **fields}).encode())
+
 
 class TestBuildArgv:
     def test_run_with_params(self):

@@ -1,6 +1,6 @@
 """Service-layer telemetry tests: the ``stats`` verb, trace-context
 propagation over the wire, byte-identity of telemetry-enabled responses,
-multi-device aggregates through the daemon, ``repro top --once``, the
+device busy time through the daemon, ``repro top --once``, the
 Prometheus exposition, and the chaos-fault flight-recorder regression."""
 
 import hashlib
@@ -33,8 +33,8 @@ void main()
 }
 """
 
-# An iterative halo-exchange program: sharding it across 2 devices produces
-# busy time on both lanes plus D2D traffic for the boundary columns.
+# An iterative stencil: every sweep launches two kernels, so one run
+# accumulates modeled device busy time.
 STENCIL = """
 int N;
 int ITER;
@@ -83,8 +83,8 @@ class TestStatsVerb:
         assert response["ok"]
         snap = response["telemetry"]
         for key in ("uptime_s", "workers", "requests", "errors", "inflight",
-                    "queue_depth", "utilization", "verbs", "devices",
-                    "d2d", "cache", "flight"):
+                    "queue_depth", "utilization", "verbs", "device_busy_s",
+                    "cache", "flight"):
             assert key in snap, key
         assert snap["workers"] == 2
         assert snap["verbs"]["ping"]["count"] >= 1
@@ -154,18 +154,19 @@ class TestTracePropagation:
         assert len(digests) == 1
 
 
-class TestMultiDeviceThroughService:
-    def test_per_device_busy_and_d2d(self, client):
+class TestDeviceBusyThroughService:
+    def test_busy_series_accumulates(self, client):
+        assert client.telemetry()["device_busy_s"] == 0.0
         response = client.request("run", source=STENCIL,
-                                  params={"N": 64, "ITER": 4}, devices=2)
+                                  params={"N": 64, "ITER": 4})
         assert response["ok"], response.get("error")
-        snap = client.telemetry()
-        assert set(snap["devices"]) == {"0", "1"}
-        for dev in ("0", "1"):
-            assert snap["devices"][dev]["busy_s"] > 0
-        assert snap["d2d"]["bytes"] > 0
-        assert snap["d2d"]["copies"] > 0
-        assert snap["shard_imbalance"] is not None
+        busy_s = client.telemetry()["device_busy_s"]
+        assert busy_s > 0
+        busy = [line for line in client.prometheus().splitlines()
+                if line.startswith("repro_device_busy_seconds")]
+        # One unlabelled series: the runtime owns exactly one device.
+        assert len(busy) == 1 and "{" not in busy[0]
+        assert float(busy[0].split()[1]) == pytest.approx(busy_s)
 
 
 class TestPrometheus:
@@ -222,16 +223,15 @@ class TestTopCommand:
             for _ in range(3):
                 client.request("compile", source=PROGRAM)
             client.request("run", source=STENCIL,
-                           params={"N": 64, "ITER": 4}, devices=2)
+                           params={"N": 64, "ITER": 4})
         buf = io.StringIO()
         monkeypatch.setattr(sys, "stdout", buf)
         assert main(["top", "--connect", daemon.config.socket, "--once"]) == 0
         out = buf.getvalue()
-        # Utilization, per-verb quantiles, both cache tiers, per-device busy.
+        # Utilization, per-verb quantiles, both cache tiers.
         assert "util" in out and "p50 ms" in out and "p99 ms" in out
         assert "compile" in out and "run" in out
         assert "mem" in out and "disk" in out
-        assert "dev0" in out and "dev1" in out
         util = float(out.split("util")[1].split("%")[0])
         assert util > 0
 
