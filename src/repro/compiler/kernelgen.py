@@ -41,16 +41,18 @@ class PartitionedLoop:
         self.step = step
 
     def iteration_values(self, evaluate) -> range:
-        """Resolve to a concrete range; ``evaluate(expr) -> int``."""
+        """Resolve to a concrete ``range``; ``evaluate(expr) -> int``.
+
+        Always a ``range`` (never a list): the launch's
+        :class:`~repro.device.engine.IndexSpace` builds lane registers from
+        its ``start``/``step``/``len`` without enumerating it."""
         start = int(evaluate(self.init))
         bound = int(evaluate(self.bound))
         step = self.step
-        if self.cond_op == "<":
-            return range(start, bound, step) if step > 0 else range(start, bound, step)
+        if self.cond_op in ("<", ">"):
+            return range(start, bound, step)
         if self.cond_op == "<=":
             return range(start, bound + 1, step)
-        if self.cond_op == ">":
-            return range(start, bound, step)
         if self.cond_op == ">=":
             return range(start, bound - 1, step)
         raise CompileError(f"bad loop condition operator {self.cond_op!r}")

@@ -18,8 +18,10 @@ such kernels leave the GPU copy of the reduction variable stale.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random as _random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,11 +63,58 @@ class Schedule:
         return f"Schedule({self.kind}, quantum={self.quantum}, seed={self.seed})"
 
 
+class IndexSpace:
+    """The logical threads of one launch, as an index space.
+
+    Built from the per-loop ``range`` objects of the partitioned loops, the
+    lanes are their Cartesian product in :func:`itertools.product` order
+    (last loop fastest); ``registers`` turns them into one int64 array per
+    index variable without listing the points.  A space can also wrap an
+    explicit list of index tuples (hand-built specs); then the points are
+    exactly that list.  ``points`` — one tuple per thread — is what the
+    interleaved stepper iterates, and nothing else needs it.
+    """
+
+    __slots__ = ("ranges", "nlanes", "_points")
+
+    def __init__(self, ranges: Sequence[range] = (),
+                 points: Optional[Sequence[Tuple]] = None):
+        if points is None:
+            self.ranges: Optional[Tuple[range, ...]] = tuple(ranges)
+            self._points: Optional[List[Tuple]] = None
+            self.nlanes = math.prod(len(r) for r in self.ranges)
+        else:
+            self.ranges = None
+            self._points = list(points)
+            self.nlanes = len(self._points)
+
+    def points(self) -> Iterable[Tuple]:
+        """One tuple of index values per thread, in lane order."""
+        if self._points is not None:
+            return self._points
+        return itertools.product(*self.ranges)
+
+    def registers(self, nvars: int) -> List[np.ndarray]:
+        """One int64 lane register per index variable (``nvars`` of them)."""
+        if self._points is not None:
+            return [
+                np.fromiter((values[k] for values in self._points), np.int64,
+                            count=self.nlanes)
+                for k in range(nvars)
+            ]
+        axes = [r.start + r.step * np.arange(len(r), dtype=np.int64)
+                for r in self.ranges]
+        if len(axes) <= 1:
+            return axes
+        return [grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")]
+
+
 class LaunchSpec:
     """Everything the engine needs for one kernel launch.
 
-    ``threads`` is the resolved iteration space: one tuple of index values
-    per logical thread, bound to ``index_vars`` in each thread's registers.
+    ``threads`` is the resolved iteration space, an :class:`IndexSpace`
+    (a sequence of index tuples is wrapped in one); each thread binds its
+    index values to ``index_vars`` in its registers.
     """
 
     def __init__(
@@ -73,7 +122,7 @@ class LaunchSpec:
         name: str,
         instrs: Program,
         index_vars: Sequence[str],
-        threads: Sequence[Tuple],
+        threads: Union[IndexSpace, Sequence[Tuple]],
         arrays: Dict[str, np.ndarray],
         scalars: Optional[Dict[str, object]] = None,
         private_decls: Optional[Dict[str, object]] = None,
@@ -86,7 +135,8 @@ class LaunchSpec:
         self.name = name
         self.instrs = instrs
         self.index_vars = tuple(index_vars)
-        self.threads = list(threads)
+        self.threads = (threads if isinstance(threads, IndexSpace)
+                        else IndexSpace(points=threads))
         self.arrays = arrays
         self.scalars = dict(scalars or {})
         self.private_decls = dict(private_decls or {})   # name -> dtype|None
@@ -97,10 +147,6 @@ class LaunchSpec:
         # Kernel-local array name -> canonical (present-table) name, so the
         # runtime can attribute per-launch write footprints to the dirty map.
         self.array_names = dict(array_names or {})
-
-    @property
-    def nthreads(self) -> int:
-        return len(self.threads)
 
 
 class LaunchResult:
@@ -240,7 +286,7 @@ class KernelEngine:
         partials: Dict[str, List] = {name: [] for name, _, _ in spec.reductions}
         red_info = {name: (op, dtype) for name, op, dtype in spec.reductions}
 
-        for values in spec.threads:
+        for values in spec.threads.points():
             t = _Thread()
             for var, val in zip(spec.index_vars, values):
                 t.regs[var] = val

@@ -828,7 +828,7 @@ def execute(spec, plan: VectorPlan, max_total_steps: int,
     contents) — an under-approximation of the true store footprint (a store
     of an identical value is invisible), which is exactly the safe direction
     for the runtime's dirty-interval tracking; otherwise it is None."""
-    nlanes = len(spec.threads)
+    nlanes = spec.threads.nlanes
     instrs = spec.instrs
     n = len(instrs)
 
@@ -840,10 +840,8 @@ def execute(spec, plan: VectorPlan, max_total_steps: int,
     ctx = _Ctx(nlanes, arrays, dict(spec.scalars))
 
     # Lane registers, mirroring KernelEngine.launch's per-thread setup.
-    for k, var in enumerate(spec.index_vars):
-        ctx.regs[var] = np.fromiter(
-            (values[k] for values in spec.threads), _INT, count=nlanes
-        )
+    index_regs = spec.threads.registers(len(spec.index_vars))
+    ctx.regs.update(zip(spec.index_vars, index_regs))
     for name, dtype in spec.private_decls.items():
         ctx.dtypes[name] = dtype
         if dtype is not None:
@@ -919,7 +917,6 @@ def execute(spec, plan: VectorPlan, max_total_steps: int,
 
     reductions = {}
     for name, (op, dtype) in red_info.items():
-        partials = ctx.regs[name].tolist()
-        reductions[name] = tree_reduce(op, partials, dtype)
+        reductions[name] = tree_reduce(op, ctx.regs[name], dtype)
 
     return total, int(steps.max()) if nlanes else 0, reductions, write_sets

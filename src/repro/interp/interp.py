@@ -16,7 +16,6 @@ constructs to the runtime:
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -540,15 +539,14 @@ class Interp:
                                    copyout=action.copyout, site=action.site, queue=queue)
 
     def _build_launch_spec(self, plan: KernelPlan):
-        from repro.device.engine import LaunchSpec
+        from repro.device.engine import IndexSpace, LaunchSpec
 
         env = self.env
 
         def ev(expr):
             return semantics.evaluate(expr, env)
 
-        ranges = [loop.iteration_values(ev) for loop in plan.loops]
-        threads = list(itertools.product(*ranges))
+        threads = IndexSpace([loop.iteration_values(ev) for loop in plan.loops])
         arrays = {}
         array_names = {}
         for var in plan.arrays:

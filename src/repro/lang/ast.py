@@ -52,6 +52,8 @@ class Node:
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return type(self) is type(other) and self._state() == other._state()
 
     def __hash__(self):  # identity hash: nodes are mutable

@@ -8,7 +8,7 @@ and may-redundant/may-missing warnings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.checkinsert import InstrumentationResult
@@ -28,13 +28,19 @@ class MemVerificationReport:
     check_calls: int
     transfer_counts: Dict[Tuple[str, str], int]
     site_directions: Dict[Tuple[str, str], str]  # (var, site) -> "h2d"/"d2h"
-    instrumented_source: str
+    instrumented_program: CompiledProgram = field(repr=False, compare=False)
     inserted_checks: int
     # Byte accounting per transfer site: bytes moved across the run, and
     # bytes the coherence findings say were wasted there (redundant /
     # may-redundant transfers priced against the dirty-interval map).
     transfer_bytes: Dict[Tuple[str, str], int] = None
     wasted_bytes: Dict[Tuple[str, str], int] = None
+
+    @property
+    def instrumented_source(self) -> str:
+        """The instrumented program as source, printed on demand (only
+        ``memcheck --show-instrumented`` reads it)."""
+        return self.instrumented_program.to_source()
 
     @property
     def errors(self) -> List[Finding]:
@@ -122,7 +128,7 @@ class MemVerifier:
             check_calls=tracker.check_calls,
             transfer_counts=transfer_counts,
             site_directions=site_directions,
-            instrumented_source=instr.compiled.to_source(),
+            instrumented_program=instr.compiled,
             inserted_checks=len(instr.checks),
             transfer_bytes=transfer_bytes,
             wasted_bytes=wasted_bytes,

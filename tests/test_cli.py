@@ -110,6 +110,19 @@ class TestMemcheckCommand:
         main(["memcheck", good_file, "-p", "N=8", "--show-instrumented"])
         assert "__check_read" in capsys.readouterr().out
 
+    def test_show_instrumented_appends_exact_instrumented_source(self, good_file, capsys):
+        from repro.compiler import compile_source
+        from repro.compiler.checkinsert import instrument_for_memverify
+
+        main(["memcheck", good_file, "-p", "N=8"])
+        plain = capsys.readouterr().out
+        main(["memcheck", good_file, "-p", "N=8", "--show-instrumented"])
+        shown = capsys.readouterr().out
+        with open(good_file) as handle:
+            compiled = compile_source(handle.read())
+        source = instrument_for_memverify(compiled).compiled.to_source()
+        assert shown == plain + "\n" + source + "\n"
+
 
 class TestOptimizeCommand:
     def test_writes_output_file(self, tmp_path, capsys):
