@@ -54,23 +54,6 @@ def _context(args) -> ToolchainContext:
         tolerance = getattr(args, "sample_tolerance", None)
         ctx.sampling = (SamplingConfig(tolerance=tolerance)
                         if tolerance is not None else SamplingConfig())
-    every = getattr(args, "checkpoint_every", None)
-    ckpt_dir = getattr(args, "checkpoint_dir", None)
-    resume = getattr(args, "resume", None)
-    if every is not None or ckpt_dir is not None or resume is not None:
-        from repro.runtime.checkpoint import CheckpointConfig
-
-        if every is not None and every <= 0:
-            raise SystemExit("bad --checkpoint-every: must be a positive "
-                             "iteration count")
-        if ckpt_dir is not None and every is None and resume is None:
-            raise SystemExit("--checkpoint-dir needs --checkpoint-every N "
-                             "(or --resume PATH)")
-        kwargs = {"every": every or 0, "dir": ckpt_dir, "resume_path": resume}
-        max_rollbacks = getattr(args, "max_rollbacks", None)
-        if max_rollbacks is not None:
-            kwargs["max_rollbacks"] = max_rollbacks
-        ctx.checkpoint = CheckpointConfig(**kwargs)
     max_retries = getattr(args, "max_retries", None)
     if max_retries is not None:
         if max_retries < 0:
@@ -239,16 +222,6 @@ def cmd_run(args, ctx: ToolchainContext) -> int:
     for cat, seconds in profiler.breakdown().items():
         if seconds:
             print(f"   {cat:15s} {seconds * 1e6:12.1f} us")
-    ckpt = getattr(run, "ckpt", None)
-    if ckpt is not None:
-        line = (f"-- recovery: {ckpt.saves} checkpoint(s), "
-                f"{ckpt.rollbacks} rollback(s), "
-                f"{ckpt.replayed_iterations} replayed iteration(s)")
-        if ckpt.resumed:
-            line += " [resumed from snapshot]"
-        if ckpt.last_disk_path:
-            line += f"\n   last snapshot: {ckpt.last_disk_path}"
-        print(line)
     sampler = getattr(run, "sampler", None)
     if sampler is not None:
         report = sampler.report()
@@ -795,21 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative near-cluster tolerance / declared "
                             "error bound (default 0.05)")
 
-    def add_recovery(p):
-        p.add_argument("--checkpoint-every", type=int, metavar="N",
-                       help="snapshot the complete execution state every N "
-                            "iterations of the outermost counted loop; "
-                            "faults that exhaust their retries roll back "
-                            "and replay instead of aborting")
-        p.add_argument("--checkpoint-dir", metavar="DIR",
-                       help="also persist each snapshot atomically to "
-                            "DIR/<tag>.ckpt so a killed run can resume")
-        p.add_argument("--max-rollbacks", type=int, metavar="K",
-                       help="fault-budget circuit breaker: abort with a "
-                            "typed error after K rollbacks (default: 5)")
-        p.add_argument("--resume", metavar="PATH",
-                       help="resume from an on-disk checkpoint written by "
-                            "--checkpoint-dir (bit-identical continuation)")
+    def add_retries(p):
         p.add_argument("--max-retries", type=int, metavar="N",
                        help="transient-fault retry ceiling per operation "
                             "(default: 3)")
@@ -826,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_chaos(p)
     add_transfer(p)
     add_sampling(p)
-    add_recovery(p)
+    add_retries(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("profile", help="transfer-byte profile of one run")

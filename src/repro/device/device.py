@@ -296,20 +296,3 @@ class Device:
         self.events.clear()
         self.bytes_h2d = 0
         self.bytes_d2h = 0
-
-    # -- checkpoint support --------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Memory, event log, and link-byte totals (engine and config are
-        stateless between launches and are not captured)."""
-        return {
-            "mem": self.mem.snapshot_state(),
-            "events": list(self.events),
-            "bytes_h2d": self.bytes_h2d,
-            "bytes_d2h": self.bytes_d2h,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self.mem.restore_state(state["mem"])
-        self.events[:] = state["events"]
-        self.bytes_h2d = state["bytes_h2d"]
-        self.bytes_d2h = state["bytes_d2h"]

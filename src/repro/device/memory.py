@@ -103,38 +103,3 @@ class DeviceMemory:
     def reset(self) -> None:
         self._table.clear()
         self.used = 0
-
-    # -- checkpoint support --------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Deep copy of the handle table and allocator counters."""
-        return {
-            "table": [(a.handle, a.name, a.data.copy())
-                      for a in self._table.values()],
-            "used": self.used,
-            "next_handle": self._next_handle,
-            "alloc_count": self.alloc_count,
-            "free_count": self.free_count,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Rebuild the handle table from a snapshot.  Buffers are restored
-        in place when a live allocation with matching handle and geometry
-        exists (cheap, and any outstanding views stay valid) and recreated
-        from a copy otherwise — never adopted from the snapshot itself, so
-        one snapshot can be restored any number of times."""
-        table: Dict[int, Allocation] = {}
-        for handle, name, data in sorted(state["table"]):
-            live = self._table.get(handle)
-            if (live is not None and live.name == name
-                    and live.data.shape == data.shape
-                    and live.data.dtype == data.dtype):
-                np.copyto(live.data, data, casting="no")
-                live.freed = False
-                table[handle] = live
-            else:
-                table[handle] = Allocation(handle, name, data.copy())
-        self._table = table
-        self.used = state["used"]
-        self._next_handle = state["next_handle"]
-        self.alloc_count = state["alloc_count"]
-        self.free_count = state["free_count"]

@@ -9,8 +9,6 @@ and verification.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class ReproError(Exception):
     """Base class for every error raised by the repro toolchain."""
@@ -103,9 +101,10 @@ class SamplingError(ReproError):
 
 
 class SamplingConflictError(SamplingError):
-    """Sampling was requested together with a feature it is unsound under
-    (today: chaos fault injection, whose stochastic draw sequence depends on
-    every operation actually executing)."""
+    """Sampling was requested together with a feature it is unsound under:
+    chaos fault injection (whose stochastic draw sequence depends on every
+    operation actually executing), delta transfers, or Figure 3's kernel
+    verification (which compares real values)."""
 
 
 class ExtrapolationBoundError(SamplingError):
@@ -123,33 +122,6 @@ class ExtrapolationBoundError(SamplingError):
         self.expected = expected
         self.actual = actual
         self.bound = bound
-        super().__init__(message)
-
-
-class CheckpointError(ReproError):
-    """Fault in the checkpoint/rollback subsystem
-    (:mod:`repro.runtime.checkpoint`): unreadable or corrupted snapshot
-    file, format-version mismatch, or a restore attempted at a program
-    point whose structure no longer matches the snapshot."""
-
-
-class CheckpointConflictError(CheckpointError):
-    """Checkpointing was requested together with a feature it is unsound
-    under (today: phase sampling, whose skipped iterations have no concrete
-    state to snapshot)."""
-
-
-class RecoveryExhaustedError(ReproError):
-    """The rollback fault budget is spent: the run rolled back
-    ``rollbacks`` times without making it to completion, so the recovery
-    layer escalates to a typed abort instead of livelocking on a fault
-    storm.  ``last_error`` is the fault that triggered the final rollback
-    attempt."""
-
-    def __init__(self, message: str, rollbacks: int = 0,
-                 last_error: Optional[BaseException] = None):
-        self.rollbacks = rollbacks
-        self.last_error = last_error
         super().__init__(message)
 
 
@@ -202,9 +174,6 @@ _STAGES = (
     ("InterpError", "interp"),
     ("ExtrapolationBoundError", "sample"),
     ("SamplingError", "sample"),
-    ("CheckpointConflictError", "checkpoint"),
-    ("CheckpointError", "checkpoint"),
-    ("RecoveryExhaustedError", "recovery"),
     ("ServiceProtocolError", "service"),
     ("ServiceError", "service"),
     ("ConvergenceError", "optimize"),

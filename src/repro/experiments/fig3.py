@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.bench import all_names, get
+from repro.errors import SamplingConflictError
 from repro.experiments import scheduler
 from repro.experiments.harness import render_table, run_variant
 from repro.runtime.profiler import (
@@ -67,6 +68,11 @@ def compute_row(name: str, size: str = "small", seed: int = 0,
 
 def run(size: str = "small", seed: int = 0, jobs: int = 1,
         ctx=None) -> List[Fig3Row]:
+    if getattr(ctx, "sampling", None) is not None:
+        raise SamplingConflictError(
+            "Figure 3 cannot run with phase sampling: kernel verification "
+            "compares real values, and skipped host iterations leave them "
+            "different from a full run's")
     grid = scheduler.row_grid(__name__, all_names(), size, seed)
     return scheduler.raise_failures(scheduler.run_jobs(grid, jobs, ctx=ctx))
 

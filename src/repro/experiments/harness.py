@@ -10,7 +10,6 @@ across a whole sweep.
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 import time
@@ -97,12 +96,6 @@ class RunOutcome:
     skipped_launches: int = 0
     skipped_iterations: int = 0
     sample: Optional[dict] = None
-    # Recovery trail (PR 7): filled whenever the run's context carried a
-    # CheckpointConfig, on success AND failure paths alike.
-    resumed: bool = False
-    checkpoints_saved: int = 0
-    rollbacks: int = 0
-    replayed_iterations: int = 0
 
     def describe(self) -> str:
         if self.ok:
@@ -122,24 +115,7 @@ class RunOutcome:
             skipped_launches=self.skipped_launches,
             skipped_iterations=self.skipped_iterations,
             sample=self.sample,
-            resumed=self.resumed,
-            checkpoints_saved=self.checkpoints_saved,
-            rollbacks=self.rollbacks,
-            replayed_iterations=self.replayed_iterations,
         )
-
-
-def _fill_recovery(outcome: RunOutcome, ctx: ToolchainContext) -> None:
-    """Copy the checkpoint manager's trail onto the outcome (all exit
-    paths: the trail of a crashed run is exactly what a post-mortem needs)."""
-    runtime = getattr(ctx, "last_runtime", None)
-    ckpt = getattr(runtime, "checkpointer", None) if runtime is not None else None
-    if ckpt is None:
-        return
-    outcome.resumed = bool(ckpt.resumed)
-    outcome.checkpoints_saved = ckpt.saves
-    outcome.rollbacks = ckpt.rollbacks
-    outcome.replayed_iterations = ckpt.replayed_iterations
 
 
 def _write_outcome_report(ctx: ToolchainContext, outcome: RunOutcome,
@@ -147,7 +123,7 @@ def _write_outcome_report(ctx: ToolchainContext, outcome: RunOutcome,
                           report_path: str) -> None:
     """Persist a RunReport for this isolated run.  Writes on *every* exit
     path — clean, typed error, crash, and watchdog/SIGALRM timeout — so a
-    killed sweep still leaves its recovery counters behind as an artifact."""
+    killed sweep still leaves its failure behind as an artifact."""
     import json
 
     from repro.obs.report import build_report
@@ -161,10 +137,6 @@ def _write_outcome_report(ctx: ToolchainContext, outcome: RunOutcome,
             "ok": outcome.ok,
             "error_type": outcome.error_type,
             "error_stage": outcome.error_stage,
-            "resumed": outcome.resumed,
-            "checkpoints_saved": outcome.checkpoints_saved,
-            "rollbacks": outcome.rollbacks,
-            "replayed_iterations": outcome.replayed_iterations,
         }},
     )
     try:
@@ -260,38 +232,11 @@ def run_variant_isolated(
     timeout) comes back as a ``RunOutcome`` with ``ok=False`` so a sweep can
     keep going.  The timeout uses SIGALRM and is only armed on the main
     thread of a POSIX process; elsewhere the run is simply unguarded.
-
-    Crash recovery: when the context's :class:`CheckpointConfig` writes
-    on-disk snapshots and the run died abnormally (timeout / unexpected
-    crash — not a typed toolchain error, which would just recur), one resume
-    attempt is made from the last snapshot.  ``report_path`` writes a
-    RunReport on every exit path, recovery counters included.
+    ``report_path`` writes a RunReport on every exit path.
     """
     ctx = ctx or default_context()
     outcome, error = _guarded_attempt(bench, variant, size, seed, options,
                                       chaos, timeout_s, ctx)
-    _fill_recovery(outcome, ctx)
-
-    ckpt_cfg = getattr(ctx, "checkpoint", None)
-    if (not outcome.ok
-            and ckpt_cfg is not None
-            and ckpt_cfg.dir is not None
-            and outcome.error_stage in ("timeout", "internal")):
-        snap_path = ckpt_cfg.snapshot_path()
-        if snap_path is not None and os.path.exists(snap_path):
-            ctx.checkpoint = ckpt_cfg.for_resume(snap_path)
-            try:
-                resumed_outcome, resumed_error = _guarded_attempt(
-                    bench, variant, size, seed, options, chaos, timeout_s, ctx)
-            finally:
-                ctx.checkpoint = ckpt_cfg
-            if resumed_outcome.ok:
-                # Wall clock spans both attempts; everything else describes
-                # the successful resumed execution.
-                resumed_outcome.wall_seconds += outcome.wall_seconds
-                outcome, error = resumed_outcome, resumed_error
-                _fill_recovery(outcome, ctx)
-
     if report_path is not None:
         _write_outcome_report(ctx, outcome, error, report_path)
     return outcome

@@ -27,7 +27,6 @@ from repro.device.reduction import combine
 from repro.errors import (
     ChaosFault,
     InterpError,
-    TransferCorruptionError,
     WatchdogTimeout,
 )
 from repro.interp.values import HostEnv
@@ -115,23 +114,6 @@ class Interp:
                     "(and host data) behind the modeled execution, so "
                     "delta-planned byte counts would diverge")
             self.sampler = PhaseSampler(sampling, self.runtime)
-        # Checkpoint/rollback recovery: attach a manager when the context
-        # carries an enabled CheckpointConfig.  None (the default) keeps
-        # every loop on the historical path.
-        self.ckpt = None
-        ckpt_cfg = getattr(ctx, "checkpoint", None) if ctx is not None else None
-        if ckpt_cfg is not None and ckpt_cfg.enabled:
-            from repro.errors import CheckpointConflictError
-            from repro.runtime.checkpoint import CheckpointManager
-
-            if self.sampler is not None:
-                raise CheckpointConflictError(
-                    "checkpointing cannot run with phase sampling: skipped "
-                    "iterations have no concrete state to snapshot, so a "
-                    "rollback could not replay them")
-            self.ckpt = CheckpointManager(
-                ckpt_cfg, self.runtime, self.env,
-                program=getattr(compiled.program, "name", "") or "")
 
     # ------------------------------------------------------------------
     # Entry point
@@ -145,8 +127,6 @@ class Interp:
         except _Return:
             pass
         self._flush_cpu()
-        if self.ckpt is not None:
-            self.ckpt.finish()
         return self.env
 
     # ------------------------------------------------------------------
@@ -231,7 +211,6 @@ class Interp:
         tracker = self.runtime.coherence
         loop_var = None
         ctl = None
-        ckpt_active = False
         try:
             if stmt.init is not None:
                 semantics_stmt = stmt.init
@@ -251,89 +230,48 @@ class Interp:
                     stmt, loop_var, semantics.compile_expr)
                 if ctl is not None:
                     ctl.enter()
-            # Checkpointing claims only the outermost counted loop: nested
-            # loops are part of the iteration being protected, and two
-            # checkpoint sites would alternately evict each other from the
-            # ring.
-            ckpt_active = (self.ckpt is not None and loop_var is not None
-                           and self.ckpt.acquire(stmt))
-            site = f"{loop_var}@{stmt.line}" if ckpt_active else None
             # Hoist the per-iteration closures out of the hot loop (one
             # cache lookup per loop instead of one per iteration).
             env = self.env
             cond_fn = semantics.compile_expr(stmt.cond) if stmt.cond is not None else None
             step_fn = semantics.compile_stmt(stmt.step) if stmt.step is not None else None
             iteration = 0
-            # ``replaying`` skips the loop header (tick/condition/save)
-            # exactly once after a rollback or a disk resume: the snapshot
-            # was taken *after* that header ran, so re-executing it would
-            # double-charge ticks and re-save the same checkpoint.
-            replaying = False
-            if ckpt_active:
-                resumed = self.ckpt.resume_into(site)
-                if resumed is not None:
-                    self._cpu_steps = self.ckpt.restored_cpu_steps
-                    iteration = resumed
-                    replaying = True
             while True:
-                if not replaying:
-                    self._tick()
-                    if cond_fn is not None and not cond_fn(env):
-                        break
-                    if ctl is not None:
-                        # Iteration boundary: flush CPU accounting so the phase
-                        # just finished owns its ticks, close it, and either
-                        # extrapolate the rest of the loop or open the next
-                        # phase.  The trailing tick + failed condition of a
-                        # full run belongs to its last phase, so after
-                        # extrapolating we leave the loop directly.
-                        self._flush_cpu()
-                        ctl.finish_phase()
-                        if ctl.should_skip():
-                            n_rem = ctl.remaining(env)
-                            if n_rem is not None and n_rem > 0:
-                                ctl.charge_skip(n_rem)
-                                ctl.fast_forward(env, n_rem)
-                                break
-                        ctl.open_phase()
-                    if ckpt_active and self.ckpt.should_save(iteration):
-                        # The pending CPU tally rides in the snapshot as a
-                        # count; flushing it here would split one profiler
-                        # charge into two and shift float accumulation.
-                        self.ckpt.save(site, iteration,
-                                       cpu_steps=self._cpu_steps)
-                replaying = False
+                self._tick()
+                if cond_fn is not None and not cond_fn(env):
+                    break
+                if ctl is not None:
+                    # Iteration boundary: flush CPU accounting so the phase
+                    # just finished owns its ticks, close it, and either
+                    # extrapolate the rest of the loop or open the next
+                    # phase.  The trailing tick + failed condition of a
+                    # full run belongs to its last phase, so after
+                    # extrapolating we leave the loop directly.
+                    self._flush_cpu()
+                    ctl.finish_phase()
+                    if ctl.should_skip():
+                        n_rem = ctl.remaining(env)
+                        if n_rem is not None and n_rem > 0:
+                            ctl.charge_skip(n_rem)
+                            ctl.fast_forward(env, n_rem)
+                            break
+                    ctl.open_phase()
                 if tracker is not None and loop_var is not None:
                     tracker.set_context_iteration(iteration)
                 try:
-                    try:
-                        self.exec_stmt(stmt.body)
-                    except _Break:
-                        break
-                    except _Continue:
-                        pass
-                    if step_fn is not None:
-                        step_fn(env)
-                        self._tick()
-                except (ChaosFault, TransferCorruptionError) as err:
-                    # Unrecoverable fault inside a protected iteration:
-                    # rewind to the last checkpoint and replay forward.
-                    # WatchdogTimeout / DeviceMemoryError deliberately
-                    # propagate — replaying an infinite loop or an
-                    # over-subscribed footprint reproduces the failure.
-                    if not ckpt_active or not self.ckpt.can_recover(site):
-                        raise
-                    iteration = self.ckpt.rollback(site, iteration, err)
-                    self._cpu_steps = self.ckpt.restored_cpu_steps
-                    replaying = True
-                    continue
+                    self.exec_stmt(stmt.body)
+                except _Break:
+                    break
+                except _Continue:
+                    pass
+                if step_fn is not None:
+                    step_fn(env)
+                    self._tick()
                 iteration += 1
         finally:
             if ctl is not None:
                 self._flush_cpu()
                 ctl.exit()
-            if ckpt_active:
-                self.ckpt.release(stmt)
             if tracker is not None and loop_var is not None:
                 tracker.pop_context()
             self.env.pop_scope()

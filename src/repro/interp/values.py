@@ -145,82 +145,6 @@ class HostEnv:
             raise InterpError(f"{name!r} is not an array")
         return value
 
-    # -- checkpoint support --------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Deep copy of the scope stack (checkpoint payload).
-
-        Arrays are captured once per *object*, keyed by identity, so pointer
-        bindings that alias one array restore as aliases of one array —
-        copying per name would silently split them."""
-        arrays: Dict[int, np.ndarray] = {}
-        scopes = []
-        for scope in self.scopes:
-            entry = {}
-            for name, value in scope.items():
-                if isinstance(value, np.ndarray):
-                    key = id(value)
-                    if key not in arrays:
-                        arrays[key] = value.copy()
-                    entry[name] = ("array", key)
-                else:
-                    entry[name] = ("plain", value)
-            scopes.append(entry)
-        return {
-            "scopes": scopes,
-            "arrays": arrays,
-            "canonical": {key: name for key, name in self.canonical.items()
-                          if key in arrays},
-            "dtypes": dict(self.dtypes),
-            "stdout": list(self.stdout),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Rewind to a :meth:`snapshot_state` capture.
-
-        The scope-stack depth must match the capture point (restores happen
-        at the same structural program point the snapshot was taken at).
-        Array contents are copied *into* the currently bound objects when
-        geometry matches — ``canonical`` is keyed by object identity, and
-        device-side bookkeeping may hold the same references — and recreated
-        from copies otherwise (a resume into a fresh process)."""
-        from repro.errors import CheckpointError
-
-        saved_scopes = state["scopes"]
-        if len(saved_scopes) != len(self.scopes):
-            raise CheckpointError(
-                f"scope depth mismatch restoring checkpoint: snapshot has "
-                f"{len(saved_scopes)} scopes, live environment has "
-                f"{len(self.scopes)} (snapshot from a different program point?)"
-            )
-        live: Dict[int, np.ndarray] = {}
-        claimed = set()
-        for scope, entry in zip(self.scopes, saved_scopes):
-            for name, (kind, ref) in entry.items():
-                if kind != "array" or ref in live:
-                    continue
-                current = scope.get(name)
-                saved = state["arrays"][ref]
-                if (isinstance(current, np.ndarray)
-                        and id(current) not in claimed
-                        and current.shape == saved.shape
-                        and current.dtype == saved.dtype):
-                    live[ref] = current
-                    claimed.add(id(current))
-        for ref, saved in state["arrays"].items():
-            target = live.get(ref)
-            if target is None:
-                live[ref] = saved.copy()
-            else:
-                np.copyto(target, saved, casting="no")
-        for scope, entry in zip(self.scopes, saved_scopes):
-            scope.clear()
-            for name, (kind, ref) in entry.items():
-                scope[name] = live[ref] if kind == "array" else ref
-        self.dtypes = dict(state["dtypes"])
-        self.stdout[:] = state["stdout"]
-        self.canonical = {id(live[ref]): name
-                          for ref, name in state["canonical"].items()}
-
 
 def _format_printf(args) -> str:
     if not args:

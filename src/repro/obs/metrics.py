@@ -18,7 +18,7 @@ import math
 import re
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "Histogram",
@@ -275,40 +275,3 @@ class MetricsRegistry:
         """Clear this registry's own state (the parent keeps its aggregate)."""
         self.counters.clear()
         self.histograms.clear()
-
-    # -- checkpoint support -------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Deep copy of counters and histograms (checkpoint payload)."""
-        return {
-            "counters": dict(self.counters),
-            "histograms": {
-                name: (hist.count, hist.total, hist.min, hist.max,
-                       dict(hist.buckets))
-                for name, hist in self.histograms.items()
-            },
-        }
-
-    def restore_state(self, state: Dict[str, object],
-                      keep_prefixes: Iterable[str] = ()) -> None:
-        """Rewind to a :meth:`snapshot_state` capture.  Counters whose names
-        start with one of ``keep_prefixes`` keep their current values instead
-        of rewinding (and are dropped from the snapshot side entirely, so a
-        resume never double-counts them).  The parent is untouched — a
-        chained run-wide aggregate keeps counting monotonically."""
-        keep = tuple(keep_prefixes)
-        kept = {name: value for name, value in self.counters.items()
-                if name.startswith(keep)} if keep else {}
-        self.counters.clear()
-        for name, value in state["counters"].items():
-            if not (keep and name.startswith(keep)):
-                self.counters[name] = value
-        self.counters.update(kept)
-        self.histograms.clear()
-        for name, (count, total, vmin, vmax, buckets) in state["histograms"].items():
-            hist = Histogram()
-            hist.count = count
-            hist.total = total
-            hist.min = vmin
-            hist.max = vmax
-            hist.buckets = dict(buckets)
-            self.histograms[name] = hist

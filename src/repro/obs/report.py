@@ -21,7 +21,7 @@ __all__ = [
     "validate_report",
 ]
 
-SCHEMA = "repro.run-report/1"
+SCHEMA = "repro.run-report/2"
 
 
 def build_report(ctx, command: Optional[str] = None,
@@ -73,16 +73,6 @@ def build_report(ctx, command: Optional[str] = None,
             "batches": sum(rec.batches for rec in runtime.transfer_log),
         }
         report["launches"] = len(runtime.launch_log)
-        ckpt = getattr(runtime, "checkpointer", None)
-        report["recovery"] = {
-            "checkpoints_saved": ckpt.saves if ckpt is not None else 0,
-            "rollbacks": ckpt.rollbacks if ckpt is not None else 0,
-            "replayed_iterations": (ckpt.replayed_iterations
-                                    if ckpt is not None else 0),
-            "resumed": bool(ckpt.resumed) if ckpt is not None else False,
-            "last_checkpoint": (ckpt.last_disk_path
-                                if ckpt is not None else None),
-        }
         tracker = runtime.coherence
         report["findings"] = ([
             {
@@ -100,11 +90,6 @@ def build_report(ctx, command: Optional[str] = None,
         report["bytes"] = {"h2d": 0, "d2h": 0, "total": 0, "saved": 0}
         report["transfers"] = {"count": 0, "batches": 0}
         report["launches"] = 0
-        report["recovery"] = {
-            "checkpoints_saved": 0, "rollbacks": 0,
-            "replayed_iterations": 0, "resumed": False,
-            "last_checkpoint": None,
-        }
         report["findings"] = []
 
     if error is not None:
@@ -156,7 +141,6 @@ _TOP_LEVEL = {
     "bytes": dict,
     "transfers": dict,
     "launches": int,
-    "recovery": dict,
     "findings": list,
 }
 
@@ -195,15 +179,6 @@ def validate_report(report) -> List[str]:
     for key in ("h2d", "d2h", "total", "saved"):
         if not isinstance(report["bytes"].get(key), int):
             problems.append(f"bytes.{key} missing or not an int")
-
-    recovery = report["recovery"]
-    for key in ("checkpoints_saved", "rollbacks", "replayed_iterations"):
-        if not isinstance(recovery.get(key), int):
-            problems.append(f"recovery.{key} missing or not an int")
-    if not isinstance(recovery.get("resumed"), bool):
-        problems.append("recovery.resumed missing or not a bool")
-    if "last_checkpoint" not in recovery:
-        problems.append("recovery.last_checkpoint missing")
 
     for i, span in enumerate(report["spans"]):
         if not isinstance(span, dict):
@@ -272,10 +247,6 @@ def structural_projection(report: Dict[str, object]) -> Dict[str, object]:
         "transfers": report.get("transfers"),
         "launches": report.get("launches"),
         "counters": metrics.get("counters", {}),
-        # last_checkpoint is a filesystem path (tmpdir noise); the counts
-        # are deterministic per seed and belong in the projection.
-        "recovery": {k: v for k, v in (report.get("recovery") or {}).items()
-                     if k != "last_checkpoint"},
         "span_counts": dict(sorted(span_counts.items())),
         "finding_counts": dict(sorted(finding_counts.items())),
         "error": ((report.get("error") or {}).get("type")

@@ -141,9 +141,6 @@ class AccRuntime:
         # Phase sampler (repro.sampling.PhaseSampler) — attaches itself when
         # the run is sampled; None keeps launch/transfer paths hook-free.
         self.sampler = None
-        # Checkpoint/rollback manager (repro.runtime.checkpoint) — attaches
-        # itself when the run is checkpointed; None in normal operation.
-        self.checkpointer = None
         if coherence is not None:
             coherence.tracer = self.tracer
         self.launch_log: List[LaunchResult] = []
@@ -552,46 +549,3 @@ class AccRuntime:
         """Modeled backoff before retry ``attempt`` (doubles per attempt,
         from the context-tunable base)."""
         return self.backoff_base * (2 ** attempt)
-
-    # ------------------------------------------------------------------
-    # Checkpoint support (repro.runtime.checkpoint)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Deep copy of every stateful runtime layer.  The dirty map is
-        captured here even when a coherence tracker shares it (one capture,
-        restored in place, keeps both references coherent); the chaos entry
-        is captured always but applied only on disk resume (see
-        :meth:`FaultPlan.snapshot_state` for why rollback skips it)."""
-        return {
-            "device": self.device.snapshot_state(),
-            "present": self.present.snapshot_state(),
-            "queues": self.queues.snapshot_state(),
-            "profiler": self.profiler.snapshot_state(),
-            "dirty": self.dirty.snapshot_state(),
-            "coherence": (self.coherence.snapshot_state()
-                          if self.coherence is not None else None),
-            "chaos": (self.chaos.snapshot_state()
-                      if self.chaos is not None else None),
-            "launch_log": list(self.launch_log),
-            "transfer_log": list(self.transfer_log),
-            "pending_pins": dict(self._pending_pins),
-        }
-
-    def restore_state(self, state: Dict[str, object],
-                      restore_chaos: bool = False) -> None:
-        from repro.runtime.profiler import RECOVERY_COUNTER_PREFIX
-
-        self.device.restore_state(state["device"])
-        self.present.restore_state(state["present"])
-        self.queues.restore_state(state["queues"])
-        self.profiler.restore_state(
-            state["profiler"],
-            keep_counter_prefixes=(RECOVERY_COUNTER_PREFIX,))
-        self.dirty.restore_state(state["dirty"])
-        if self.coherence is not None and state["coherence"] is not None:
-            self.coherence.restore_state(state["coherence"])
-        if restore_chaos and self.chaos is not None and state["chaos"] is not None:
-            self.chaos.restore_state(state["chaos"])
-        self.launch_log[:] = state["launch_log"]
-        self.transfer_log[:] = state["transfer_log"]
-        self._pending_pins = dict(state["pending_pins"])

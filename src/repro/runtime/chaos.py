@@ -185,12 +185,6 @@ class FaultPlan:
         self.tracer = NULL_TRACER  # AccRuntime swaps in the live tracer
         self.injected: List[Fault] = []
         self._rng = random.Random(spec.seed)
-        # Crash-resume support (repro.runtime.checkpoint): while True, draw()
-        # returns None *without consuming rng state*.  A resumed run executes
-        # its pre-checkpoint prefix with chaos suspended — the snapshot's rng
-        # state already reflects the original prefix's draws, so replaying
-        # them would both double-draw and risk faulting the prefix.
-        self.suspended = False
 
     @classmethod
     def from_string(cls, text: str, seed: int = 0,
@@ -205,7 +199,7 @@ class FaultPlan:
     def draw(self, point: str, site: str = "") -> Optional[Fault]:
         """Deterministically decide whether a fault fires at ``point``
         (``alloc`` / ``transfer`` / ``queue`` / ``launch``)."""
-        if self.suspended or self.exhausted:
+        if self.exhausted:
             return None
         for kind in KINDS_AT[point]:
             rate = self.spec.rates.get(kind, 0.0)
@@ -225,20 +219,6 @@ class FaultPlan:
                                   seq=fault.seq)
                 return fault
         return None
-
-    # -- checkpoint support --------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """The rng position + injected-fault history.  Restored only on a
-        disk *resume* (bit-identical continuation of the original draw
-        sequence); a same-process rollback deliberately does NOT rewind the
-        rng — replaying the identical fault would livelock, and the run stays
-        deterministic per seed either way because the draw sequence is still
-        a pure function of (seed, execution path)."""
-        return {"rng": self._rng.getstate(), "injected": list(self.injected)}
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self._rng.setstate(state["rng"])
-        self.injected[:] = state["injected"]
 
     def summary(self) -> str:
         if not self.injected:

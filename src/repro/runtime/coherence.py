@@ -268,22 +268,3 @@ class CoherenceTracker:
         if state is None:
             raise RuntimeFault(f"coherence check on untracked variable '{var}'")
         return state
-
-    # -- checkpoint support --------------------------------------------------
-    # The shared DirtyMap is snapshotted by the runtime (it owns the other
-    # reference); everything tracker-private is captured here.  Findings are
-    # append-only, so replay regenerates the truncated tail identically.
-    def snapshot_state(self) -> Dict[str, object]:
-        return {
-            "states": {var: (st.cpu, st.gpu) for var, st in self._states.items()},
-            "findings": list(self.findings),
-            "check_calls": self.check_calls,
-            "context": list(self._context),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self._states = {var: _VarState(cpu=cpu, gpu=gpu)
-                        for var, (cpu, gpu) in state["states"].items()}
-        self.findings[:] = state["findings"]
-        self.check_calls = state["check_calls"]
-        self._context[:] = state["context"]

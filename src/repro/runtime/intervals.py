@@ -254,22 +254,3 @@ class DirtyMap:
             return None
         lo, hi = span if span is not None else (0, entry.size)
         return entry.need[direction].intersect(lo, hi).covered * entry.itemsize
-
-    # -- checkpoint support --------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Deep copy of every variable's geometry + pending intervals."""
-        return {
-            var: (entry.size, entry.itemsize,
-                  {d: s.intervals() for d, s in entry.need.items()})
-            for var, entry in self._vars.items()
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Rebuild in place (the map object is shared between the runtime and
-        the coherence tracker, so identity must survive the restore)."""
-        self._vars.clear()
-        for var, (size, itemsize, need) in state.items():
-            entry = _VarDirty(size, itemsize)
-            for direction, intervals in need.items():
-                entry.need[direction] = IntervalSet(intervals)
-            self._vars[var] = entry

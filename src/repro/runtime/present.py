@@ -69,18 +69,3 @@ class PresentTable:
 
     def __len__(self):
         return len(self._entries)
-
-    # -- checkpoint support --------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        return {
-            name: (entry.handle, entry.refcount, list(entry.copyout_on_exit))
-            for name, entry in self._entries.items()
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self._entries.clear()
-        for name, (handle, refcount, copyout_on_exit) in state.items():
-            entry = PresentEntry(name, handle)
-            entry.refcount = refcount
-            entry.copyout_on_exit = list(copyout_on_exit)
-            self._entries[name] = entry

@@ -79,18 +79,6 @@ FAULT_COUNTER_PREFIX = register_counter_prefix("fault.injected.")
 CTR_SAMPLE_SKIPPED_LAUNCHES = register_counter("sample.skipped_launches")
 CTR_SAMPLE_SKIPPED_ITERATIONS = register_counter("sample.skipped_iterations")
 
-# Checkpoint/rollback counters (repro.runtime.checkpoint).  These live under
-# one prefix because they are the only counters a rollback must *not* rewind:
-# Profiler.restore_state keeps everything under RECOVERY_COUNTER_PREFIX so
-# replayed work counts exactly once while the recovery trail survives.
-CTR_CHECKPOINT_SAVED = register_counter("recovery.checkpoint_saved")
-CTR_ROLLBACK = register_counter("recovery.rollback")
-CTR_REPLAYED_ITERATIONS = register_counter("recovery.replayed_iterations")
-CTR_RESUMED = register_counter("recovery.resumed")
-# Plain string (not register_counter_prefix: the family above is static,
-# each member registered individually); used as a keep-prefix on restore.
-RECOVERY_COUNTER_PREFIX = "recovery."
-
 # Histogram names (Profiler.observe): value distributions the flat counters
 # lose — how big each coalesced transfer batch was, and how long each
 # retry backed off for.
@@ -179,29 +167,6 @@ class Profiler:
         self.now = 0.0
         self.totals = {cat: 0.0 for cat in ALL_CATEGORIES}
         self.metrics.reset()
-
-    # -- checkpoint support -------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Copy of the clock, totals, and metrics (for
-        :mod:`repro.runtime.checkpoint`).  The tap is configuration, not
-        state, and is not captured."""
-        return {
-            "now": self.now,
-            "totals": dict(self.totals),
-            "metrics": self.metrics.snapshot_state(),
-        }
-
-    def restore_state(self, state: Dict[str, object],
-                      keep_counter_prefixes: Tuple[str, ...] = ()) -> None:
-        """Rewind to a :meth:`snapshot_state` capture.  Counters under
-        ``keep_counter_prefixes`` keep their *current* values (the recovery
-        trail must survive the rollback that writes it).  Keys this
-        profiler does not read (an older capture's ``timeline``) are
-        ignored."""
-        self.now = state["now"]
-        self.totals = dict(state["totals"])
-        self.metrics.restore_state(state["metrics"],
-                                   keep_prefixes=keep_counter_prefixes)
 
     def __repr__(self):
         busy = {k: round(v, 6) for k, v in self.totals.items() if v}

@@ -79,14 +79,3 @@ class AsyncQueues:
     @property
     def pending(self) -> bool:
         return any(t > self.profiler.now for t in self._ready.values())
-
-    # -- checkpoint support --------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        return {
-            "ready": dict(self._ready),
-            "pending": {q: list(ops) for q, ops in self._pending.items()},
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self._ready = dict(state["ready"])
-        self._pending = {q: list(ops) for q, ops in state["pending"].items()}

@@ -14,9 +14,9 @@ benchmark), so compilation results are cached at two tiers:
   and a byte budget; evictions are counted (``cache.tier.mem.evict``).
 
 * **disk tier** — a persistent directory of checksummed, versioned
-  pickle envelopes (format :data:`CACHE_FORMAT`), written atomically with
-  the same ``tmp + fsync + os.replace`` discipline as the PR 7 checkpoint
-  format.  Entries are keyed by (source fingerprint, compiler-option key,
+  pickle envelopes (format :data:`CACHE_FORMAT`), written atomically
+  (``tmp + fsync + os.replace``), so a reader never sees a torn entry.
+  Entries are keyed by (source fingerprint, compiler-option key,
   toolchain version) and hold a fully-analyzed
   :class:`~repro.compiler.driver.CompiledProgram`, so a *fresh daemon* (or
   a repeated CI session) skips parse + every analysis pass and goes

@@ -432,9 +432,7 @@ class ToolchainDaemon:
                 response = self._admin_op(op, request)
             else:
                 response = self._toolchain_op(op, request, trace)
-        except ReproError as err:
-            response = self._error_response(request, op, err, trace=trace)
-        except Exception as err:   # crash path: answer, don't die
+        except Exception as err:   # typed error or crash: answer, don't die
             response = self._error_response(request, op, err, trace=trace)
         response.setdefault("id", request.get("id"))
         response.setdefault("op", op)

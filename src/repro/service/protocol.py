@@ -84,7 +84,7 @@ _ADMIN_KEYS = {
 ADMIN_OPS = tuple(_ADMIN_KEYS)
 
 # Per-program flags a client may pass through to the CLI parser.  Anything
-# else (trace/report paths, checkpoint dirs, chaos seeds...) touches the
+# else (trace/report paths, chaos seeds...) touches the
 # daemon's filesystem or global behavior and must come from the operator's
 # command line, not the wire.
 _ALLOWED_FLAGS = (

@@ -265,9 +265,6 @@ class ToolchainContext:
         # Phase-sampled execution (repro.sampling.SamplingConfig); None —
         # the default — keeps every run bit-identical to an unsampled one.
         self.sampling = None
-        # Checkpoint/rollback recovery (repro.runtime.checkpoint
-        # .CheckpointConfig); None — the default — runs without snapshots.
-        self.checkpoint = None
         # Fault-handling knobs: retry ceiling for transient faults and the
         # backoff base seconds.  None defers to AccRuntime defaults / the
         # cost model, keeping existing runs bit-identical.

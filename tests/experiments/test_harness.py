@@ -1,6 +1,8 @@
 """Experiment-harness tests (runner helpers + table renderer) and fast
 smoke tests of each experiment at tiny size."""
 
+import json
+
 import pytest
 
 from repro.bench import get
@@ -92,6 +94,46 @@ class TestRunOutcome:
         assert slim.wall_seconds == outcome.wall_seconds
         round_trip = pickle.loads(pickle.dumps(slim))
         assert round_trip.describe() == outcome.describe()
+
+
+class TestOutcomeReport:
+    """``report_path`` leaves a RunReport behind on every exit path."""
+
+    def test_report_written_on_timeout_path(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        outcome = run_variant_isolated(
+            get("JACOBI"), "unoptimized", size="small", seed=1,
+            timeout_s=1e-4, report_path=str(report_path))
+        assert not outcome.ok and outcome.error_stage == "timeout"
+        report = json.loads(report_path.read_text())
+        assert report["error"]["type"] == "TimeoutError"
+        assert report["outcome"]["error_stage"] == "timeout"
+
+    def test_report_written_on_crash_path(self, tmp_path, monkeypatch):
+        from repro.experiments import harness
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "run_variant", crash)
+        report_path = tmp_path / "report.json"
+        outcome = run_variant_isolated(
+            get("JACOBI"), "unoptimized", size="tiny", seed=1,
+            report_path=str(report_path))
+        assert not outcome.ok and outcome.error_stage == "internal"
+        report = json.loads(report_path.read_text())
+        assert report["error"]["type"] == "RuntimeError"
+        assert report["outcome"]["error_stage"] == "internal"
+
+    def test_report_written_on_success_path(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        outcome = run_variant_isolated(
+            get("JACOBI"), "unoptimized", size="tiny", seed=1,
+            report_path=str(report_path))
+        assert outcome.ok
+        report = json.loads(report_path.read_text())
+        assert report["error"] is None
+        assert report["outcome"]["ok"] is True
 
 
 class TestExperimentSmoke:

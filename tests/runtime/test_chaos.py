@@ -4,8 +4,9 @@ Covers the determinism contract of FaultPlan, every injection point
 (alloc / transfer / queue / launch), the recovery layers (retry-with-backoff,
 post-transfer verification, degradation ladder, watchdog), and the
 correctness invariants: coherence state and the present table must stay
-accurate under injected failures, and recovered runs must be bit-identical
-to fault-free runs.
+accurate under injected failures, recovered runs must be bit-identical
+to fault-free runs, and a fault past the retry budget ends the run with a
+typed error.
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.runtime.accrt import AccRuntime
 from repro.runtime.chaos import FaultPlan, FaultSpec
 from repro.runtime.coherence import CPU, GPU, NOTSTALE, STALE, CoherenceTracker
 from repro.runtime.profiler import CAT_ASYNC_WAIT
+from repro.toolchain import ToolchainContext
 
 
 def make_plan(text, seed=0, max_faults=None):
@@ -343,3 +345,60 @@ class TestIsolatedSweep:
         assert not outcome.ok
         assert outcome.error_type == "TimeoutError"
         assert outcome.error_stage == "timeout"
+
+
+class TestRetryKnobs:
+    def test_max_retries_knob_reaches_runtime(self):
+        ctx = ToolchainContext()
+        ctx.max_retries = 7
+        assert AccRuntime(ctx=ctx).max_retries == 7
+        assert AccRuntime(ctx=ctx, max_retries=1).max_retries == 1  # explicit wins
+        assert AccRuntime().max_retries == AccRuntime.DEFAULT_MAX_RETRIES
+
+    def test_backoff_base_knob(self):
+        ctx = ToolchainContext()
+        ctx.backoff_base = 0.5
+        rt = AccRuntime(ctx=ctx)
+        assert rt.backoff_time(0) == 0.5
+        assert rt.backoff_time(2) == 2.0
+        # Unset: defers to the cost model (bit-identical to the old path).
+        default_rt = AccRuntime()
+        base = default_rt.device.config.costs.retry_backoff_s
+        assert default_rt.backoff_time(1) == base * 2
+
+
+class TestSweepProperty:
+    """No silent divergence with retries disabled: under a chaos seed sweep
+    a run either completes bit-identical to fault-free or raises a typed
+    error.  Seed-parametrized so a failing seed is named in the test id."""
+
+    RATES = "transfer=0.25,transfer.corrupt=0.15"
+
+    @staticmethod
+    def run_jacobi(ctx=None, chaos=None):
+        return run_variant(get("JACOBI"), "unoptimized", size="tiny", seed=1,
+                           chaos=chaos, ctx=ctx or ToolchainContext())
+
+    @staticmethod
+    def outputs_of(interp):
+        return {k: v.copy() for k, v in interp.env.scopes[0].items()
+                if isinstance(v, np.ndarray)}
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return self.outputs_of(self.run_jacobi())
+
+    @pytest.mark.parametrize("chaos_seed", range(15))
+    def test_completed_or_typed_never_divergent(self, baseline, chaos_seed):
+        ctx = ToolchainContext()
+        ctx.max_retries = 0
+        chaos = FaultSpec.parse(self.RATES, seed=chaos_seed)
+        try:
+            interp = self.run_jacobi(ctx=ctx, chaos=chaos)
+        except ReproError as err:
+            assert error_stage(err) != "internal"
+            return
+        got = self.outputs_of(interp)
+        assert set(got) == set(baseline)
+        for name in baseline:
+            np.testing.assert_array_equal(baseline[name], got[name])

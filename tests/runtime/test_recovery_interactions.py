@@ -1,118 +1,28 @@
-"""Recovery interplay with the other runtime features (PR 7 satellites).
+"""Fault injection's interplay with the other runtime features.
 
-Checkpointing composes with chaos and with delta transfers, and refuses to
-compose with phase-sampled execution (a sampled run skips iterations, so a
-snapshot taken inside it could never replay bit-identically).  The sweep
-test is the property the CI gate enforces at scale: under a chaos seed
-sweep a checkpointed run either completes bit-identical to fault-free or
-raises a *typed* error — silent divergence is the one forbidden outcome.
+Chaos refuses to compose with phase-sampled execution: a sampled run skips
+iterations, so a fault injected inside it could not be told apart from the
+skipped work, and the combination raises a typed conflict before anything
+runs.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench import suite
-from repro.device.device import DeviceConfig
-from repro.errors import ReproError, SamplingConflictError
+from repro.errors import SamplingConflictError
 from repro.experiments.harness import run_variant
 from repro.runtime.chaos import FaultSpec
-from repro.runtime.checkpoint import CheckpointConfig
 from repro.sampling import SamplingConfig
 from repro.toolchain import ToolchainContext
 
-CHAOS_RATES = "transfer=0.25,transfer.corrupt=0.15"
-
-
-def run_jacobi(ctx=None, chaos=None, device_config=None, size="small"):
-    ctx = ctx or ToolchainContext(device_config=device_config)
-    return run_variant(suite.get("JACOBI"), "unoptimized", size=size, seed=1,
-                       chaos=chaos, ctx=ctx)
-
-
-def outputs_of(interp):
-    return {k: v.copy() for k, v in interp.env.scopes[0].items()
-            if isinstance(v, np.ndarray)}
-
-
-class TestDeltaTransferInterplay:
-    """Checkpoint snapshots carry the DirtyMap, so rollback under delta
-    transfers replays the same minimal byte traffic."""
-
-    def make_ctx(self):
-        ctx = ToolchainContext(device_config=DeviceConfig(delta_transfers=True))
-        ctx.checkpoint = CheckpointConfig(every=1, max_rollbacks=50)
-        ctx.max_retries = 0
-        return ctx
-
-    def test_fault_free_checkpointing_preserves_delta_bytes(self):
-        base = run_jacobi(
-            ctx=ToolchainContext(
-                device_config=DeviceConfig(delta_transfers=True)))
-        ckpt = run_jacobi(ctx=self.make_ctx())
-        assert ckpt.ckpt.saves > 0
-        assert (ckpt.runtime.device.bytes_h2d, ckpt.runtime.device.bytes_d2h) \
-            == (base.runtime.device.bytes_h2d, base.runtime.device.bytes_d2h)
-        for name, arr in outputs_of(base).items():
-            np.testing.assert_array_equal(arr, ckpt.env.scopes[0][name])
-
-    def test_rollback_under_delta_transfers_is_bit_identical(self):
-        base = run_jacobi(
-            ctx=ToolchainContext(
-                device_config=DeviceConfig(delta_transfers=True)))
-        recovered = run_jacobi(ctx=self.make_ctx(),
-                               chaos=FaultSpec.parse(CHAOS_RATES, seed=6))
-        assert recovered.ckpt.rollbacks > 0
-        assert (recovered.runtime.device.bytes_h2d,
-                recovered.runtime.device.bytes_d2h) \
-            == (base.runtime.device.bytes_h2d, base.runtime.device.bytes_d2h)
-        assert recovered.runtime.profiler.total() \
-            == base.runtime.profiler.total()
-        for name, arr in outputs_of(base).items():
-            np.testing.assert_array_equal(arr, recovered.env.scopes[0][name])
-
 
 class TestSamplingConflicts:
-    """Every ordering of the incompatible trio raises a typed conflict."""
+    """Chaos plus sampling raises a typed conflict."""
 
     def test_chaos_conflicts_with_sampling(self):
         ctx = ToolchainContext()
         ctx.sampling = SamplingConfig()
         with pytest.raises(SamplingConflictError):
-            run_jacobi(ctx=ctx, size="tiny",
-                       chaos=FaultSpec(rates={"transfer": 0.5}))
-
-    def test_checkpoint_and_chaos_conflict_with_sampling(self):
-        """Checkpoint + chaos + sampling: the conflict fires before any
-        execution, whichever feature is checked first."""
-        ctx = ToolchainContext()
-        ctx.sampling = SamplingConfig()
-        ctx.checkpoint = CheckpointConfig(every=1)
-        with pytest.raises(ReproError) as exc:
-            run_jacobi(ctx=ctx, size="tiny",
-                       chaos=FaultSpec(rates={"transfer": 0.5}))
-        assert type(exc.value).__name__ in (
-            "SamplingConflictError", "CheckpointConflictError")
-
-
-class TestSweepProperty:
-    """The no-silent-divergence property, seed-parametrized so a failing
-    seed is named in the test id."""
-
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        return outputs_of(run_jacobi(size="tiny"))
-
-    @pytest.mark.parametrize("chaos_seed", range(15))
-    def test_completed_or_typed_never_divergent(self, baseline, chaos_seed):
-        ctx = ToolchainContext()
-        ctx.checkpoint = CheckpointConfig(every=1, max_rollbacks=50)
-        ctx.max_retries = 0
-        chaos = FaultSpec.parse(CHAOS_RATES, seed=chaos_seed)
-        try:
-            interp = run_jacobi(ctx=ctx, chaos=chaos, size="tiny")
-        except ReproError:
-            return  # typed failure is an allowed outcome
-        got = outputs_of(interp)
-        assert set(got) == set(baseline)
-        for name in baseline:
-            np.testing.assert_array_equal(baseline[name], got[name])
+            run_variant(suite.get("JACOBI"), "unoptimized", size="tiny",
+                        seed=1, chaos=FaultSpec(rates={"transfer": 0.5}),
+                        ctx=ctx)

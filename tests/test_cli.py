@@ -209,6 +209,22 @@ class TestObservabilityFlags:
 
 
 class TestExperimentsFlags:
+    def test_fig3_rejects_sampling_before_any_job(self, capsys,
+                                                   monkeypatch):
+        from repro.experiments import scheduler
+
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job was scheduled")
+
+        monkeypatch.setattr(scheduler, "run_jobs", no_jobs)
+        assert main(["experiments", "fig3", "--size", "small",
+                     "--sample"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "repro: error [sample]: Figure 3 cannot run with phase sampling")
+        assert captured.err.count("\n") == 1
+
     def test_json_output(self, tmp_path, capsys):
         import json
 
@@ -465,55 +481,25 @@ def loopy_file(tmp_path):
 
 
 class TestRecoveryFlags:
-    def test_checkpoint_every_reports_recovery_line(self, loopy_file, capsys):
+    def test_chaos_fault_past_retry_budget_is_typed_error(self, loopy_file,
+                                                          capsys):
+        # Retries disabled, so the seeded mid-loop transfer fault is past
+        # the retry budget: the run ends with its typed error, one line.
         assert main(["run", loopy_file, "-p", "N=16", "-p", "T=6",
-                     "--checkpoint-every", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "a0=6.0" in out
-        assert "-- recovery:" in out
-        assert "0 rollback(s)" in out
-
-    def test_checkpointed_chaos_run_rolls_back(self, loopy_file, capsys):
-        # Seeded so a mid-loop transfer fault triggers rollback-and-replay
-        # (retries disabled so the fault escalates past the retry layer).
-        assert main(["run", loopy_file, "-p", "N=16", "-p", "T=6",
-                     "--checkpoint-every", "1", "--max-retries", "0",
+                     "--max-retries", "0",
                      "--chaos-seed", "6",
                      "--chaos-spec", "transfer=0.25,transfer.corrupt=0.15",
-                     ]) == 0
-        out = capsys.readouterr().out
-        assert "a0=6.0" in out          # same answer as the fault-free run
-        assert "-- recovery:" in out
-        assert "0 rollback(s)" not in out
-
-    def test_resume_round_trip(self, loopy_file, tmp_path, capsys):
-        ckpt_dir = str(tmp_path / "ckpts")
-        assert main(["run", loopy_file, "-p", "N=16", "-p", "T=6",
-                     "--checkpoint-every", "2",
-                     "--checkpoint-dir", ckpt_dir]) == 0
-        first = capsys.readouterr().out
-        assert "last snapshot:" in first
-        snap = str(tmp_path / "ckpts" / "run.ckpt")
-        assert main(["run", loopy_file, "-p", "N=16", "-p", "T=6",
-                     "--resume", snap]) == 0
-        resumed = capsys.readouterr().out
-        assert "[resumed from snapshot]" in resumed
-        assert "a0=6.0" in resumed
+                     ]) == 2
+        captured = capsys.readouterr()
+        assert "a0=" not in captured.out
+        assert captured.err.startswith("repro: error [chaos]")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_retry_knobs_accepted(self, good_file, capsys):
         assert main(["run", good_file, "-p", "N=8",
                      "--max-retries", "5", "--backoff-base", "0.001"]) == 0
         assert "r=7.0" in capsys.readouterr().out
-
-    def test_bad_checkpoint_every_rejected(self, loopy_file):
-        with pytest.raises(SystemExit):
-            main(["run", loopy_file, "-p", "N=16", "-p", "T=6",
-                  "--checkpoint-every", "0"])
-
-    def test_checkpoint_dir_requires_every(self, loopy_file, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["run", loopy_file, "-p", "N=16", "-p", "T=6",
-                  "--checkpoint-dir", str(tmp_path)])
 
     def test_negative_retry_knobs_rejected(self, good_file):
         with pytest.raises(SystemExit):
