@@ -174,24 +174,24 @@ def cmd_compile(args, ctx: ToolchainContext) -> int:
     from repro.compiler.passes import summarize_kernel
 
     compiled = _load(args.file, args, ctx)
-    print(f"{len(compiled.kernels)} kernel(s):")
+    out = ctx.out
+    print(f"{len(compiled.kernels)} kernel(s):", file=out)
     for name, plan in compiled.kernels.items():
-        print(f"  {summarize_kernel(name, plan)}")
+        print(f"  {summarize_kernel(name, plan)}", file=out)
     for warning in compiled.warnings:
-        print(f"warning: {warning}")
+        print(f"warning: {warning}", file=out)
     if args.show_source:
-        print()
-        print(compiled.to_source())
+        print(f"\n{compiled.to_source()}", file=out)
     if args.cache_stats:
         from repro.compiler import compile_cache_stats
         from repro.lang.semantics import expr_cache_stats
 
-        print("\n-- compile caches")
+        print("\n-- compile caches", file=out)
         for key, value in compile_cache_stats(ctx).items():
-            print(f"   {key:15s} {value}")
-        print("-- semantics closure caches")
+            print(f"   {key:15s} {value}", file=out)
+        print("-- semantics closure caches", file=out)
         for key, value in expr_cache_stats().items():
-            print(f"   {key:15s} {value}")
+            print(f"   {key:15s} {value}", file=out)
     return 0
 
 
@@ -210,31 +210,31 @@ def cmd_run(args, ctx: ToolchainContext) -> int:
 
         runtime = AccRuntime(chaos=plan, ctx=ctx)
     run = run_compiled(compiled, params=params, runtime=runtime, ctx=ctx)
-    for line in run.env.stdout:
-        sys.stdout.write(line)
+    out = ctx.out
+    out.writelines(run.env.stdout)
     profiler = run.runtime.profiler
     device = run.runtime.device
     if plan is not None:
-        print(f"\n-- {plan.summary()}")
-    print(f"\n-- modeled time: {profiler.total() * 1e3:.3f} ms")
+        print(f"\n-- {plan.summary()}", file=out)
+    print(f"\n-- modeled time: {profiler.total() * 1e3:.3f} ms", file=out)
     print(f"-- transfers: {len(run.runtime.transfer_log)} "
-          f"({device.total_transferred_bytes()} bytes)")
+          f"({device.total_transferred_bytes()} bytes)", file=out)
     for cat, seconds in profiler.breakdown().items():
         if seconds:
-            print(f"   {cat:15s} {seconds * 1e6:12.1f} us")
+            print(f"   {cat:15s} {seconds * 1e6:12.1f} us", file=out)
     sampler = getattr(run, "sampler", None)
     if sampler is not None:
         report = sampler.report()
         print(f"-- sampling: {report['skipped_iterations']} iterations / "
               f"{report['skipped_launches']} launches extrapolated "
               f"({report['extrapolated_seconds'] * 1e3:.3f} ms modeled), "
-              f"error bound {report['error_bound']:g}")
+              f"error bound {report['error_bound']:g}", file=out)
         for loop in report["loops"]:
             if not loop["skipped"]:
                 continue
             print(f"   loop {loop['loop']}: measured {loop['measured']}, "
                   f"skipped {loop['skipped']}, "
-                  f"{len(loop['groups'])} cluster(s)")
+                  f"{len(loop['groups'])} cluster(s)", file=out)
     if args.compare_sequential:
         seq = run_sequential(compiled, params=params, ctx=ctx)
         # The report should describe the accelerated run, not the
@@ -252,7 +252,8 @@ def cmd_run(args, ctx: ToolchainContext) -> int:
             )
             if not same:
                 bad.append(decl.name)
-        print(f"-- sequential comparison: {'MISMATCH in ' + str(bad) if bad else 'OK'}")
+        print("-- sequential comparison: "
+              f"{'MISMATCH in ' + str(bad) if bad else 'OK'}", file=out)
         return 1 if bad else 0
     return 0
 
@@ -278,6 +279,7 @@ def cmd_profile(args, ctx: ToolchainContext) -> int:
         entry["saved"] += rec.nbytes_saved
         entry["batches"] += rec.batches
 
+    out = ctx.out
     if args.format == "json":
         # Machine-readable profile: the RunReport schema plus the per-site
         # transfer aggregation.
@@ -293,30 +295,32 @@ def cmd_profile(args, ctx: ToolchainContext) -> int:
                 for (var, site, direction), entry in sorted(sites.items())
             ]},
         )
-        print(json.dumps(report, indent=2, sort_keys=True, default=repr))
+        print(json.dumps(report, indent=2, sort_keys=True, default=repr),
+              file=out)
         return 0
 
-    print(f"-- modeled time: {profiler.total() * 1e3:.3f} ms")
+    print(f"-- modeled time: {profiler.total() * 1e3:.3f} ms", file=out)
     print(f"-- transfers: {len(runtime.transfer_log)} "
-          f"({runtime.device.total_transferred_bytes()} bytes)")
-    print(f"   h2d bytes  {counters.get(CTR_BYTES_H2D, 0):12d}")
-    print(f"   d2h bytes  {counters.get(CTR_BYTES_D2H, 0):12d}")
-    print(f"   saved      {counters.get(CTR_BYTES_SAVED, 0):12d}")
+          f"({runtime.device.total_transferred_bytes()} bytes)", file=out)
+    print(f"   h2d bytes  {counters.get(CTR_BYTES_H2D, 0):12d}", file=out)
+    print(f"   d2h bytes  {counters.get(CTR_BYTES_D2H, 0):12d}", file=out)
+    print(f"   saved      {counters.get(CTR_BYTES_SAVED, 0):12d}", file=out)
     for cat, seconds in profiler.breakdown().items():
         if seconds:
-            print(f"   {cat:15s} {seconds * 1e6:12.1f} us")
+            print(f"   {cat:15s} {seconds * 1e6:12.1f} us", file=out)
 
     top = sorted(sites.items(), key=lambda kv: (-kv[1]["bytes"], kv[0]))
     top = top[: args.top_transfers]
     if top:
-        print(f"\n-- top {len(top)} transfer sites by bytes moved")
+        print(f"\n-- top {len(top)} transfer sites by bytes moved", file=out)
         header = (f"   {'var':12s} {'site':20s} {'dir':4s} {'count':>6s} "
                   f"{'batches':>8s} {'bytes':>10s} {'saved':>10s}")
-        print(header)
-        print("   " + "-" * (len(header) - 3))
+        print(header, file=out)
+        print("   " + "-" * (len(header) - 3), file=out)
         for (var, site, direction), entry in top:
             print(f"   {var:12s} {site:20s} {direction:4s} {entry['count']:6d} "
-                  f"{entry['batches']:8d} {entry['bytes']:10d} {entry['saved']:10d}")
+                  f"{entry['batches']:8d} {entry['bytes']:10d} {entry['saved']:10d}",
+                  file=out)
     return 0
 
 
@@ -368,7 +372,7 @@ def cmd_verify(args, ctx: ToolchainContext) -> int:
     report = KernelVerifier(
         compiled, params=_parse_params(args.param), options=options, ctx=ctx
     ).run()
-    print(report.summary())
+    print(report.summary(), file=ctx.out)
     return 0 if report.all_passed else 1
 
 
@@ -377,12 +381,12 @@ def cmd_memcheck(args, ctx: ToolchainContext) -> int:
 
     compiled = _load(args.file, args, ctx)
     report = MemVerifier(compiled, params=_parse_params(args.param), ctx=ctx).run()
-    print(report.summary())
+    out = ctx.out
+    print(report.summary(), file=out)
     print(f"\n{report.inserted_checks} check sites, "
-          f"{report.check_calls} dynamic coherence checks")
+          f"{report.check_calls} dynamic coherence checks", file=out)
     if args.show_instrumented:
-        print()
-        print(report.instrumented_source)
+        print(f"\n{report.instrumented_source}", file=out)
     return 0 if not report.errors else 1
 
 
@@ -395,17 +399,17 @@ def cmd_optimize(args, ctx: ToolchainContext) -> int:
     trace = InteractiveOptimizer(
         program, params=_parse_params(args.param), outputs=outputs, ctx=ctx
     ).run()
-    print(trace.summary())
+    out = ctx.out
+    print(trace.summary(), file=out)
     optimized = to_source(trace.final_program)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(optimized)
-        print(f"optimized program written to {args.output}")
+        print(f"optimized program written to {args.output}", file=out)
     else:
-        print()
-        print(optimized)
+        print(f"\n{optimized}", file=out)
     print(f"final transfers: {trace.final_transfer_count} "
-          f"({trace.final_transfer_bytes} bytes)")
+          f"({trace.final_transfer_bytes} bytes)", file=out)
     return 0
 
 
@@ -536,8 +540,7 @@ def cmd_serve(args, ctx: ToolchainContext) -> int:
     if args.cache_mem_bytes is not None:
         config.cache_mem_bytes = args.cache_mem_bytes
     daemon = ToolchainDaemon(config)
-    # Announce on stderr: the daemon routes stdout through the per-request
-    # capture layer for its whole lifetime.
+    # Announce on stderr: stdout carries command output only.
     sys.stderr.write(f"repro-serve: listening on {config.address()} "
                      f"({config.workers} workers, disk cache "
                      f"{config.cache_dir or 'off'})\n")
@@ -957,8 +960,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     _write_observability(args, ctx)
     if getattr(args, "time_passes", False):
-        print()
-        print(ctx.pass_stats.report())
+        print(f"\n{ctx.pass_stats.report()}", file=ctx.out)
     return code
 
 

@@ -357,8 +357,8 @@ class PassManager:
     def _maybe_dump(self, name: str, result) -> None:
         if self.ctx.dump_after != name:
             return
-        self.ctx.dump_sink(f"=== after pass '{name}' ===\n"
-                           f"{describe_pass_output(name, result)}")
+        print(f"=== after pass '{name}' ===\n"
+              f"{describe_pass_output(name, result)}", file=self.ctx.out)
 
     def describe(self, name: str, result) -> str:
         return describe_pass_output(name, result)

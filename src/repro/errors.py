@@ -103,8 +103,8 @@ class SamplingError(ReproError):
 class SamplingConflictError(SamplingError):
     """Sampling was requested together with a feature it is unsound under:
     chaos fault injection (whose stochastic draw sequence depends on every
-    operation actually executing), delta transfers, or Figure 3's kernel
-    verification (which compares real values)."""
+    operation actually executing), delta transfers, or an experiment that
+    compares real program values (Figure 3, Tables II and III)."""
 
 
 class ExtrapolationBoundError(SamplingError):

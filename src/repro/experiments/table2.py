@@ -18,6 +18,7 @@ from repro.bench import all_names, get
 from repro.compiler.driver import CompilerOptions, compile_ast
 from repro.experiments import scheduler
 from repro.experiments.harness import render_table
+from repro.sampling import require_unsampled
 from repro.toolchain import default_context
 
 
@@ -80,6 +81,7 @@ def compute_row(name: str, size: str = "small", seed: int = 0,
 
 def run(size: str = "small", seed: int = 0, jobs: int = 1,
         ctx=None) -> Table2Result:
+    require_unsampled(ctx, "Table II")
     grid = scheduler.row_grid(__name__, all_names(), size, seed)
     partials = scheduler.raise_failures(scheduler.run_jobs(grid, jobs, ctx=ctx))
     total = Table2Result()

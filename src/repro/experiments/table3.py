@@ -25,6 +25,7 @@ from repro.experiments import scheduler
 from repro.experiments.harness import render_table
 from repro.interp import run_compiled
 from repro.lang.parser import parse_program
+from repro.sampling import require_unsampled
 from repro.verify.interactive import InteractiveOptimizer
 
 PAPER = {
@@ -112,6 +113,7 @@ def compute_row(name: str, size: str = "small", seed: int = 0,
 
 def run(size: str = "small", seed: int = 0, max_rounds: int = 12,
         jobs: int = 1, ctx=None) -> List[Table3Row]:
+    require_unsampled(ctx, "Table III")
     grid = scheduler.row_grid(__name__, all_names(), size, seed,
                               max_rounds=max_rounds)
     return scheduler.raise_failures(scheduler.run_jobs(grid, jobs, ctx=ctx))

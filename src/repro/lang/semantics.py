@@ -39,20 +39,29 @@ from repro.lang.ctypes import Scalar
 
 
 def c_div(a, b):
-    """C semantics: integer operands truncate toward zero."""
+    """C semantics: integer operands truncate toward zero; floating-point
+    division by zero gives IEEE 754 ±inf (or NaN for 0/0), whatever the
+    operands' Python types."""
     if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
         if b == 0:
             raise InterpError("integer division by zero")
         q = abs(int(a)) // abs(int(b))
         return q if (a >= 0) == (b >= 0) else -q
-    return a / b
+    try:
+        return a / b
+    except ZeroDivisionError:       # Python floats raise; C does not
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(a) / np.float64(b))
 
 def c_mod(a, b):
     if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
         if b == 0:
             raise InterpError("integer modulo by zero")
         return int(a) - c_div(a, b) * int(b)
-    return math.fmod(a, b)
+    try:
+        return math.fmod(a, b)
+    except ValueError:              # fmod(x, 0) and fmod(±inf, y): C's NaN
+        return math.nan
 
 
 _BINOPS: Dict[str, Callable] = {

@@ -19,7 +19,7 @@ from repro.errors import (  # noqa: F401  (re-exported typed surface)
     SamplingError,
 )
 from repro.sampling.cluster import GroupTable, PhaseGroup, kmeans
-from repro.sampling.config import SamplingConfig
+from repro.sampling.config import SamplingConfig, require_unsampled
 from repro.sampling.extrapolate import (
     EXACT_REL_TOL,
     check_bound,
@@ -40,6 +40,7 @@ from repro.sampling.sampler import (
 
 __all__ = [
     "SamplingConfig",
+    "require_unsampled",
     "PhaseSampler",
     "LoopController",
     "CountedLoop",

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["SamplingConfig"]
+from repro.errors import SamplingConflictError
+
+__all__ = ["SamplingConfig", "require_unsampled"]
 
 
 @dataclass(frozen=True)
@@ -54,3 +56,14 @@ class SamplingConfig:
             raise ValueError("tolerance must be in (0, 1)")
         if self.max_clusters < 1:
             raise ValueError("max_clusters must be >= 1")
+
+
+def require_unsampled(ctx, what: str) -> None:
+    """Refuse phase sampling for ``what`` — an experiment whose columns
+    compare real program values, which skipped host iterations leave
+    different from a full run's.  Called before any job is scheduled."""
+    if getattr(ctx, "sampling", None) is not None:
+        raise SamplingConflictError(
+            f"{what} cannot run with phase sampling: it compares real "
+            "program values, and skipped host iterations leave them "
+            "different from a full run's")

@@ -289,6 +289,12 @@ class ServiceCache:
         if self.disk is not None:
             payload = self.disk.get(key_string)
             if payload is not None:
+                # A concurrent cold compile lands in memory before it
+                # persists, so a disk hit racing one finds the entry there
+                # too: serve it rather than unpickling a duplicate.
+                compiled = mem.peek(key)
+                if compiled is not None:
+                    return compiled, "mem"
                 try:
                     compiled = _unpack_compiled(payload)
                 except Exception:

@@ -23,9 +23,10 @@ stateless library PR 3 made it):
 Toolchain ops execute the *offline CLI's own command functions* against the
 CLI's own argument parser, so a served response's ``stdout``/``exit_code``
 are byte-identical to the offline ``python -m repro ...`` invocation.  The
-CLI prints to ``sys.stdout``; worker threads capture it through a
-thread-local router installed for the daemon's lifetime (``start`` /
-``close``), so concurrent handlers never interleave output.
+CLI's commands write to their context's output stream
+(``ToolchainContext.out``); each request's context carries its own
+``StringIO``, so concurrent handlers never interleave output and the
+process's standard output is never replaced.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import io
 import itertools
 import json
 import os
-import sys
 import tempfile
 import threading
 import time
@@ -124,56 +124,6 @@ def _parse_metrics_addr(addr: str) -> Tuple[str, int]:
     return (host or "127.0.0.1", port_n)
 
 
-class _StdoutRouter(io.TextIOBase):
-    """A ``sys.stdout`` stand-in that routes writes to a thread-local
-    capture buffer when one is pushed, and to the real stream otherwise."""
-
-    def __init__(self, fallback):
-        self.fallback = fallback
-        self._local = threading.local()
-
-    def _stack(self) -> List:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def push(self, buffer) -> None:
-        self._stack().append(buffer)
-
-    def pop(self):
-        return self._stack().pop()
-
-    @property
-    def _target(self):
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else self.fallback
-
-    def write(self, text):
-        target = self._target
-        try:
-            return target.write(text)
-        except ValueError:
-            # The fallback was snapshotted at daemon start; a host that
-            # closed it since (test harnesses re-wiring stdio) must not
-            # crash daemon-side prints.  Route to the interpreter's
-            # original stdout instead of losing the write.
-            if target is self.fallback and sys.__stdout__ is not None:
-                return sys.__stdout__.write(text)
-            raise
-
-    def flush(self):
-        target = self._target
-        if hasattr(target, "flush"):
-            try:
-                target.flush()
-            except ValueError:
-                pass
-
-    def writable(self):
-        return True
-
-
 class ToolchainDaemon:
     """Serve concurrent toolchain requests over one shared cache.
 
@@ -204,8 +154,6 @@ class ToolchainDaemon:
         self._seq = itertools.count(1)
         self._rid = itertools.count(1)
         self._spool = config.spool_dir
-        self._router: Optional[_StdoutRouter] = None
-        self._stdout_prior = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_async: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
@@ -218,11 +166,7 @@ class ToolchainDaemon:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ToolchainDaemon":
-        """Install the stdout router and worker pool (idempotent)."""
-        if self._router is None:
-            self._stdout_prior = sys.stdout
-            self._router = _StdoutRouter(sys.stdout)
-            sys.stdout = self._router
+        """Create the worker pool and the spool directory (idempotent)."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=max(1, self.config.workers),
@@ -237,10 +181,6 @@ class ToolchainDaemon:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._router is not None:
-            sys.stdout = self._stdout_prior
-            self._router = None
-            self._stdout_prior = None
 
     def __enter__(self) -> "ToolchainDaemon":
         return self.start()
@@ -547,17 +487,10 @@ class ToolchainDaemon:
             if self.config.chaos_spec:
                 args.chaos_spec = self.config.chaos_spec
         ctx = self._request_context(args, trace)
+        ctx.out = io.StringIO()
         params = _parse_params(getattr(args, "param", None))
 
-        buffer = io.StringIO()
         tier: Optional[str] = None
-        assert self._router is not None, "daemon not started"
-        if sys.stdout is not self._router:
-            # Another actor (pytest's capture machinery, a nested tool) may
-            # re-patch the global between requests; reclaim it so the
-            # thread-local capture keeps routing.
-            sys.stdout = self._router
-        self._router.push(buffer)
         span_attrs = {"op": op, "program": os.path.basename(path)}
         if trace is not None:
             span_attrs["trace_id"] = trace.trace_id
@@ -577,24 +510,17 @@ class ToolchainDaemon:
                     _, tier = self.cache.ensure_compiled(source, options, ctx)
                     sp.set_attr("cache", tier)
                 exit_code = args.func(args, ctx)
-        except ReproError as err:
-            return self._error_response(request, op, err,
-                                        stdout=buffer.getvalue(), ctx=ctx,
-                                        params=params, program=path,
-                                        trace=trace)
         except Exception as err:
             return self._error_response(request, op, err,
-                                        stdout=buffer.getvalue(), ctx=ctx,
+                                        stdout=ctx.out.getvalue(), ctx=ctx,
                                         params=params, program=path,
                                         trace=trace)
-        finally:
-            self._router.pop()
         runtime = getattr(ctx, "last_runtime", None)
         if runtime is not None:
             self.telemetry.record_run(runtime)
         report = self._write_report(op, path, params, ctx=ctx)
         return {"id": request.get("id"), "ok": True, "op": op,
-                "exit_code": int(exit_code or 0), "stdout": buffer.getvalue(),
+                "exit_code": int(exit_code or 0), "stdout": ctx.out.getvalue(),
                 "cache": tier, "report": report}
 
     def _spool_source(self, source: str) -> str:

@@ -10,7 +10,10 @@ belongs to a :class:`ToolchainContext`:
   picked up by experiment runs that do not pass one explicitly;
 * **pass_stats** — per-pass wall-clock timing, invocation and cache
   counters filled in by :class:`~repro.compiler.passes.PassManager`;
-* **dump_after** — name of the pass whose output the CLI wants printed.
+* **dump_after** — name of the pass whose output the CLI wants printed;
+* **out** — the text stream commands write their output to (``sys.stdout``,
+  looked up at write time, unless a caller sets one: the daemon gives each
+  request its own buffer).
 
 A context is cheap to construct; tools that want isolation (the CLI builds
 one per invocation, scheduler workers one per process) make their own.
@@ -270,9 +273,9 @@ class ToolchainContext:
         # cost model, keeping existing runs bit-identical.
         self.max_retries: Optional[int] = None
         self.backoff_base: Optional[float] = None
-        # CLI observability hooks.
+        # CLI observability hook and the command output stream (see ``out``).
         self.dump_after: Optional[str] = None
-        self.dump_sink: Callable[[str], None] = print
+        self._out = None
         # Observability layer: span tracer (NULL_TRACER = tracing off) and
         # the run-wide metrics aggregate every runtime's profiler mirrors
         # into.  ``last_runtime`` remembers the most recent AccRuntime this
@@ -288,6 +291,17 @@ class ToolchainContext:
         # Stamped on RunReports/exports and shipped to pool workers.
         self.trace_context = None
         self._passes = None
+
+    @property
+    def out(self):
+        """Where command output goes: the stream a caller set, else the
+        ``sys.stdout`` current at the time of the write (so
+        ``contextlib.redirect_stdout`` still captures the offline CLI)."""
+        return sys.stdout if self._out is None else self._out
+
+    @out.setter
+    def out(self, stream) -> None:
+        self._out = stream
 
     @property
     def passes(self):

@@ -1,6 +1,9 @@
 """PassManager behaviour: per-pass caching/invalidation, timing coverage,
 dump hooks, and the retirement of module-global toolchain state."""
 
+import contextlib
+import io
+
 import pytest
 
 from repro.compiler import CompilerOptions, compile_ast, compile_source
@@ -133,24 +136,34 @@ class TestTimingAndCoverage:
 
 class TestDumpAfter:
     def test_dump_after_fires_for_named_pass_only(self):
-        sink: list = []
         ctx = ToolchainContext()
         ctx.dump_after = "kernelgen"
-        ctx.dump_sink = sink.append
+        ctx.out = io.StringIO()
         compile_source(SOURCE, ctx=ctx)
-        assert len(sink) == 1
-        assert "after pass 'kernelgen'" in sink[0]
-        assert "main_kernel0" in sink[0]
+        text = ctx.out.getvalue()
+        assert text.count("=== after pass") == 1
+        assert "after pass 'kernelgen'" in text
+        assert "main_kernel0" in text
 
     def test_dump_after_rewrite_pass_prints_source(self):
-        sink: list = []
         ctx = ToolchainContext()
         ctx.dump_after = "fault.strip_acc"
-        ctx.dump_sink = sink.append
+        ctx.out = io.StringIO()
         compiled = compile_source(SOURCE, ctx=ctx)
         ctx.passes.rewrite("fault.strip_acc", compiled.program)
-        assert len(sink) == 1
-        assert "pragma" not in sink[0]
+        text = ctx.out.getvalue()
+        assert text.count("=== after pass") == 1
+        assert "after pass 'fault.strip_acc'" in text
+        assert "pragma" not in text
+
+    def test_out_defaults_to_stdout_at_write_time(self, capsys):
+        ctx = ToolchainContext()
+        ctx.dump_after = "kernelgen"
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            compile_source(SOURCE, ctx=ctx)
+        assert "after pass 'kernelgen'" in buffer.getvalue()
+        assert capsys.readouterr().out == ""
 
 
 class TestNoModuleGlobalChaos:

@@ -1,5 +1,7 @@
 """Direct tests for the C-semantics expression evaluator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,47 @@ class TestArithmetic:
         assert ev("12 ^ 10") == 6
         assert ev("1 << 4") == 16
         assert ev("~0") == -1
+
+
+def _same_float(got, want):
+    """Equal as C doubles: NaN matches NaN, and zeros/infinities keep sign."""
+    got = float(got)
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+# C/IEEE 754: x/±0.0 is a signed infinity, 0.0/0.0 and fmod(x, 0.0) NaN.
+FLOAT_BY_ZERO = [
+    ("/", 1.0, 0.0, math.inf),
+    ("/", -1.0, 0.0, -math.inf),
+    ("/", 1.0, -0.0, -math.inf),
+    ("/", -1.0, -0.0, math.inf),
+    ("/", 0.0, 0.0, math.nan),
+    ("/", 3, 0.0, math.inf),
+    ("/", 2.5, 0, math.inf),
+    ("%", 1.0, 0.0, math.nan),
+    ("%", -2.5, -0.0, math.nan),
+    ("%", 3, 0.0, math.nan),
+    ("%", math.inf, 2.0, math.nan),
+]
+
+
+class TestFloatDivisionByZero:
+    @pytest.mark.parametrize("wrap", [lambda v: v, np.float64],
+                             ids=["python", "numpy"])
+    @pytest.mark.parametrize("op, a, b, want", FLOAT_BY_ZERO)
+    def test_follows_c(self, op, a, b, want, wrap):
+        fn = semantics.c_div if op == "/" else semantics.c_mod
+        if isinstance(a, float):
+            a = wrap(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert _same_float(fn(a, b), want)
+
+    def test_expression_level(self):
+        assert ev("1.0 / 0.0") == math.inf
+        assert math.isnan(ev("0.0 / 0.0"))
+        assert math.isnan(ev("x % 0.0", x=5.0))
 
 
 class TestComparisonsAndLogic:

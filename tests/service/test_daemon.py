@@ -249,13 +249,32 @@ class TestLifecycle:
             asyncio.run(daemon.serve_async())
         daemon.close()
 
-    def test_stdout_restored_after_close(self, tmp_path):
+    def test_daemon_never_replaces_process_stdout(self, tmp_path,
+                                                  monkeypatch):
+        import io
         import sys
 
-        before = sys.stdout
+        from repro import cli
+
+        before = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", before)
+        seen = []
+        real_run_compiled = cli.run_compiled
+
+        def spy(*args, **kwargs):
+            seen.append(sys.stdout)
+            return real_run_compiled(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_compiled", spy)
         daemon = ToolchainDaemon(ServiceConfig(
             socket=str(tmp_path / "s.sock"), workers=1)).start_in_thread()
-        assert sys.stdout is not before
+        assert sys.stdout is before
+        with connect(daemon.config.socket) as client:
+            response = client.request("run", source=PROGRAM,
+                                      params={"N": 8})
         daemon.request_shutdown()
         daemon.join()
+        assert seen == [before]       # mid-request, in the worker thread
         assert sys.stdout is before
+        assert "r=14.0" in response["stdout"]
+        assert before.getvalue() == ""  # nothing leaked past the response

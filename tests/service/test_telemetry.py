@@ -211,11 +211,6 @@ class TestPrometheus:
 
 
 class TestTopCommand:
-    # CLI output is captured by pointing sys.stdout at a StringIO rather
-    # than capsys: once a toolchain op runs, the daemon re-points the
-    # global sys.stdout at its router, whose fallback is whatever stream
-    # was live at daemon start — pytest's capture machinery may have
-    # replaced and closed that stream by the time the test prints.
     def test_top_once_reports_load(self, monkeypatch, daemon):
         from repro.cli import main
 

@@ -209,21 +209,36 @@ class TestObservabilityFlags:
 
 
 class TestExperimentsFlags:
-    def test_fig3_rejects_sampling_before_any_job(self, capsys,
-                                                   monkeypatch):
+    @staticmethod
+    def _assert_rejects_sampling_before_any_job(capsys, monkeypatch,
+                                                which, title):
         from repro.experiments import scheduler
 
         def no_jobs(*args, **kwargs):
             raise AssertionError("a job was scheduled")
 
         monkeypatch.setattr(scheduler, "run_jobs", no_jobs)
-        assert main(["experiments", "fig3", "--size", "small",
+        assert main(["experiments", which, "--size", "small",
                      "--sample"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "repro: error [sample]: Figure 3 cannot run with phase sampling")
+            f"repro: error [sample]: {title} cannot run with phase sampling")
         assert captured.err.count("\n") == 1
+        assert captured.err.count("[sample]") == 1
+
+    def test_fig3_rejects_sampling_before_any_job(self, capsys,
+                                                   monkeypatch):
+        self._assert_rejects_sampling_before_any_job(
+            capsys, monkeypatch, "fig3", "Figure 3")
+
+    @pytest.mark.parametrize("which, title", [("table2", "Table II"),
+                                              ("table3", "Table III")])
+    def test_tables_reject_sampling_before_any_job(self, capsys,
+                                                   monkeypatch, which, title):
+        # Like Figure 3, Tables II and III compare real program values.
+        self._assert_rejects_sampling_before_any_job(
+            capsys, monkeypatch, which, title)
 
     def test_json_output(self, tmp_path, capsys):
         import json
